@@ -12,7 +12,8 @@
 #      tests/experiments/test_seed_compat.py and the --dump-spec/--spec
 #      CLI smoke checks in tests/test_cli.py); the slow-marked benches
 #      (benchmarks/test_schedulers.py, benchmarks/test_workloads.py)
-#      run in the FULL profile;
+#      run in the FULL profile; the benchmark harness's own tests
+#      (perfbench/tests) run in both profiles;
 #   2. a --dump-spec smoke run (flags must keep compiling to a valid
 #      JSON scenario artifact);
 #   3. the parallel experiment plane: a --jobs 2 sweep persisted to a
@@ -46,9 +47,9 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 if [ "${FULL:-0}" = "1" ]; then
-    python -m pytest -x -q tests benchmarks
+    python -m pytest -x -q tests benchmarks perfbench/tests
 else
-    python -m pytest -x -q -m "not slow" tests benchmarks
+    python -m pytest -x -q -m "not slow" tests benchmarks perfbench/tests
 fi
 python -m repro.cli run --workflow montage --dump-spec - > /dev/null
 

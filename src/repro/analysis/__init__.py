@@ -5,11 +5,6 @@ from repro.analysis.advisor import (
     recommend_strategy,
     profile_workflow,
 )
-from repro.analysis.export import (
-    export_json,
-    ops_to_records,
-    workflow_result_to_dict,
-)
 from repro.analysis.metrics import RunMetrics, summarize_ops
 from repro.analysis.monitor import RegistryMonitor, Sample
 from repro.analysis.queueing import (
@@ -26,14 +21,11 @@ __all__ = [
     "Sample",
     "WorkloadProfile",
     "closed_network_throughput",
-    "export_json",
     "mm1_mean_wait",
     "mm1_utilization",
-    "ops_to_records",
     "profile_workflow",
     "recommend_strategy",
     "saturation_point",
     "summarize_ops",
     "throughput_upper_bound",
-    "workflow_result_to_dict",
 ]

@@ -3,7 +3,7 @@
 ::
 
     python -m repro.cli figures [--quick] [--only fig7]
-    python -m repro.cli simulate --strategy dr --nodes 32 --ops 1000
+    python -m repro.cli sweep --scenario paper_synthetic --set strategy.name=dr --set n_nodes=32
     python -m repro.cli advise --workflow montage --ops 1000
     python -m repro.cli advise --file my_workflow.json
     python -m repro.cli run --workflow montage --strategy dr --export out.json
@@ -34,7 +34,6 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.advisor import profile_workflow, recommend_strategy
-from repro.cloud.network import BANDWIDTH_MODELS
 from repro.elastic import ELASTICITY_NAMES, ELASTICITY_POLICIES
 from repro.experiments import (
     run_fig1,
@@ -51,7 +50,6 @@ from repro.scenario import (
     SCENARIOS,
     WORKFLOW_BUILDERS,
     ElasticitySpec,
-    NetworkSpec,
     ObservabilitySpec,
     ScenarioSpec,
     SchedulerSpec,
@@ -119,49 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a single figure instead of all",
     )
 
-    sim = sub.add_parser(
-        "simulate", help="run the synthetic reader/writer benchmark"
-    )
-    sim.add_argument(
-        "--strategy",
-        default="hybrid",
-        help="strategy name or alias (dn, dr, baseline, subtree, ...)",
-    )
-    sim.add_argument("--nodes", type=int, default=32)
-    sim.add_argument("--ops", type=int, default=1000)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument(
-        "--bandwidth-model",
-        choices=BANDWIDTH_MODELS,
-        default="slots",
-        help="WAN bandwidth sharing: concurrency-capped slots (default) "
-        "or flow-level hierarchical max-min fair sharing "
-        "(docs/network-model.md)",
-    )
-    sim.add_argument(
-        "--egress-cap-mb",
-        type=float,
-        default=None,
-        metavar="MB_PER_S",
-        help="fair model only: per-site aggregate outbound WAN cap "
-        "(megabytes/s)",
-    )
-    sim.add_argument(
-        "--ingress-cap-mb",
-        type=float,
-        default=None,
-        metavar="MB_PER_S",
-        help="fair model only: per-site aggregate inbound WAN cap "
-        "(megabytes/s)",
-    )
-    sim.add_argument(
-        "--rpc-flow-weight",
-        type=float,
-        default=1.0,
-        help="fair model only: metadata RPC flow weight vs weight-1 "
-        "bulk transfers",
-    )
-
     adv = sub.add_parser(
         "advise", help="characterize a workflow and recommend a strategy"
     )
@@ -198,7 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--ops", type=int, default=100)
     runp.add_argument("--seed", type=int, default=7)
     runp.add_argument(
-        "--export", metavar="PATH", help="write the run result as JSON"
+        "--export",
+        metavar="PATH",
+        help=(
+            "write the run as a scenario-result JSON artifact (the "
+            "document sweep --out stores; repro.cli diff takes two)"
+        ),
     )
     runp.add_argument(
         "--scheduler",
@@ -556,30 +516,6 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    spec = ScenarioSpec(
-        name=f"cli-simulate-{args.strategy}",
-        surface="synthetic",
-        strategy=StrategySpec(name=args.strategy),
-        network=NetworkSpec(
-            bandwidth_model=args.bandwidth_model,
-            egress_cap_mb=args.egress_cap_mb,
-            ingress_cap_mb=args.ingress_cap_mb,
-            rpc_flow_weight=args.rpc_flow_weight,
-        ),
-        ops_per_node=args.ops,
-        n_nodes=args.nodes,
-        seed=args.seed,
-    )
-    try:
-        result = spec.run()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(result.render())
-    return 0
-
-
 def _cmd_advise(args) -> int:
     wf = _resolve_workflow(args)
     ch = characterize(wf)
@@ -740,6 +676,27 @@ def _spec_from_run_args(args) -> ScenarioSpec:
     return spec
 
 
+#: What a bad scenario target raises: ``ValueError`` from validation
+#: and unknown names, ``TypeError`` from hand-edited spec JSON with a
+#: wrong value type (e.g. a string ``n_nodes``), ``OSError`` from an
+#: unreadable file.  Every subcommand maps them to exit status 2.
+_SPEC_ERRORS = (ValueError, TypeError, OSError)
+
+
+def _load_spec(args) -> ScenarioSpec:
+    """The validated scenario a subcommand targets.
+
+    ``args.spec`` names a spec file; otherwise ``args.scenario`` names
+    a registry entry.  Raises one of :data:`_SPEC_ERRORS`.
+    """
+    if args.spec:
+        spec = ScenarioSpec.load(args.spec)
+    else:
+        spec = get_scenario(args.scenario)
+    spec.validate()
+    return spec
+
+
 def _cmd_run(args) -> int:
     if not _RUN_FLAG_DEFAULTS:
         build_parser()  # populate the clash-check defaults
@@ -756,13 +713,10 @@ def _cmd_run(args) -> int:
                     "given); edit the spec file, or sweep overrides with "
                     "`repro.cli sweep --spec ... --set path=value`"
                 )
-            spec = ScenarioSpec.load(args.spec)
-            spec.validate()
+            spec = _load_spec(args)
         else:
             spec = _spec_from_run_args(args)
-    except (ValueError, TypeError, OSError) as exc:
-        # TypeError covers hand-edited spec JSON with wrong value types
-        # (e.g. a string n_nodes) surfacing from validate().
+    except _SPEC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.metrics and not spec.observability.enabled:
@@ -786,9 +740,11 @@ def _cmd_run(args) -> int:
         print()
         print(_render_obs(result.obs))
     if args.export:
-        from repro.analysis.export import export_json
+        from repro.results import scenario_result_to_dict
 
-        export_json(result.result, args.export)
+        doc = scenario_result_to_dict(result)
+        with open(args.export, "w") as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"\nresult written to {args.export}")
     return 0
 
@@ -844,10 +800,7 @@ def _cmd_trace(args) -> int:
                 "trace takes exactly one target: a scenario name or "
                 "--spec FILE"
             )
-        if args.spec:
-            spec = ScenarioSpec.load(args.spec)
-        else:
-            spec = get_scenario(args.scenario)
+        spec = _load_spec(args)
         categories = (
             tuple(c.strip() for c in args.categories.split(",") if c.strip())
             if args.categories
@@ -860,7 +813,7 @@ def _cmd_trace(args) -> int:
         )
         spec.validate()
         result = spec.run(quick=args.quick)
-    except (ValueError, TypeError, OSError) as exc:
+    except _SPEC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_chrome_trace(result.tracer, args.out)
@@ -1129,10 +1082,7 @@ def _cmd_analyze(args) -> int:
             )
             report = "\n\n".join(parts)
         else:
-            if args.spec:
-                spec = ScenarioSpec.load(args.spec)
-            else:
-                spec = get_scenario(args.scenario)
+            spec = _load_spec(args)
             obs = spec.observability
             if not obs.enabled:
                 obs = ObservabilitySpec(enabled=True)
@@ -1167,7 +1117,7 @@ def _cmd_analyze(args) -> int:
                 else "SLO: none declared"
             )
             report = "\n\n".join(parts)
-    except (ValueError, TypeError, OSError) as exc:
+    except _SPEC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report)
@@ -1252,11 +1202,7 @@ def _parse_sweep_value(text: str):
 
 def _cmd_sweep(args) -> int:
     try:
-        if args.scenario:
-            base = get_scenario(args.scenario)
-        else:
-            base = ScenarioSpec.load(args.spec)
-            base.validate()
+        base = _load_spec(args)
         axes = {}
         for item in args.overrides:
             path, eq, values = item.partition("=")
@@ -1272,7 +1218,7 @@ def _cmd_sweep(args) -> int:
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         result = run_sweep(base, axes, quick=args.quick, jobs=args.jobs)
-    except (ValueError, OSError) as exc:
+    except _SPEC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(result.render())
@@ -1448,7 +1394,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "figures": _cmd_figures,
-        "simulate": _cmd_simulate,
         "advise": _cmd_advise,
         "run": _cmd_run,
         "trace": _cmd_trace,

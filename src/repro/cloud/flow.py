@@ -88,7 +88,11 @@ __all__ = [
     "FlowAborted",
     "FlowNetwork",
     "FlowStats",
+    "SOLVERS",
 ]
+
+#: Re-solve strategies :class:`FlowNetwork` accepts (see its docstring).
+SOLVERS = ("incremental", "global", "verify")
 
 #: Relative tolerance when deciding which constraints saturate at the
 #: current water level (guards against last-ulp float noise splitting
@@ -480,10 +484,9 @@ class FlowNetwork:
         ] = None,
         solver: str = "incremental",
     ):
-        if solver not in ("incremental", "global", "verify"):
+        if solver not in SOLVERS:
             raise ValueError(
-                f"unknown solver {solver!r}; expected 'incremental', "
-                "'global' or 'verify'"
+                f"unknown solver {solver!r}; expected one of {SOLVERS}"
             )
         self.env = env
         self.solver = solver

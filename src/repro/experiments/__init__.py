@@ -7,7 +7,7 @@ print.  See DESIGN.md Section 4 for the experiment index and
 EXPERIMENTS.md for recorded paper-vs-measured outcomes.
 """
 
-from repro.experiments.scenarios import SCENARIOS, ScenarioSpec
+from repro.experiments.scenarios import TABLE_I, TableIColumn
 from repro.experiments.synthetic import (
     SyntheticResult,
     run_synthetic_workload,
@@ -21,9 +21,9 @@ from repro.experiments.fig8_scalability import run_fig8
 from repro.experiments.fig10_workflows import run_fig10
 
 __all__ = [
-    "SCENARIOS",
-    "ScenarioSpec",
     "SyntheticResult",
+    "TABLE_I",
+    "TableIColumn",
     "run_fig1",
     "run_fig3",
     "run_fig5",

@@ -22,14 +22,14 @@ Paper properties checked:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.deployment import Deployment
 from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import ArchitectureController, StrategyName
 from repro.experiments.reporting import check, render_table
-from repro.experiments.scenarios import SCENARIOS, ScenarioSpec
+from repro.experiments.scenarios import TABLE_I
 from repro.workflow.applications import buzzflow, montage
 from repro.workflow.engine import WorkflowEngine
 
@@ -154,13 +154,13 @@ def run_fig10(
     for wf_name in workflows:
         builder = WORKFLOW_BUILDERS[wf_name]
         for sc_name in scenarios:
-            spec: ScenarioSpec = SCENARIOS[sc_name]
+            column = TABLE_I[sc_name]
             if ops_scale != 1.0:
-                spec = ScenarioSpec(
-                    spec.name,
-                    spec.label,
-                    ops_per_task=max(1, round(spec.ops_per_task * ops_scale)),
-                    compute_time=spec.compute_time,
+                column = replace(
+                    column,
+                    ops_per_task=max(
+                        1, round(column.ops_per_task * ops_scale)
+                    ),
                 )
             for strat in StrategyName.all():
                 # Synchronous hybrid replication: the Section IV-D
@@ -183,8 +183,8 @@ def run_fig10(
                 ctrl = ArchitectureController(dep, strategy=strat, config=cfg)
                 engine = WorkflowEngine(dep, ctrl.strategy)
                 wf = builder(
-                    ops_per_task=spec.ops_per_task,
-                    compute_time=spec.compute_time,
+                    ops_per_task=column.ops_per_task,
+                    compute_time=column.compute_time,
                 )
                 res = engine.run(wf)
                 ctrl.shutdown()

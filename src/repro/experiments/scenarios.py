@@ -21,11 +21,11 @@ from typing import Dict
 
 from repro.workflow.applications import BUZZFLOW_JOBS, MONTAGE_JOBS
 
-__all__ = ["SCENARIOS", "ScenarioSpec"]
+__all__ = ["TABLE_I", "TableIColumn"]
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class TableIColumn:
     """One column of Table I."""
 
     name: str
@@ -46,12 +46,14 @@ class ScenarioSpec:
         return self.ops_per_task * MONTAGE_JOBS
 
 
-SCENARIOS: Dict[str, ScenarioSpec] = {
-    "SS": ScenarioSpec("SS", "Small Scale", ops_per_task=100, compute_time=1.0),
-    "CI": ScenarioSpec(
+TABLE_I: Dict[str, TableIColumn] = {
+    "SS": TableIColumn(
+        "SS", "Small Scale", ops_per_task=100, compute_time=1.0
+    ),
+    "CI": TableIColumn(
         "CI", "Computation Intensive", ops_per_task=200, compute_time=5.0
     ),
-    "MI": ScenarioSpec(
+    "MI": TableIColumn(
         "MI", "Metadata Intensive", ops_per_task=1000, compute_time=1.0
     ),
 }

@@ -158,116 +158,6 @@ class MetadataConfig:
     token_rate: Optional[float] = None
     token_burst: int = 1
 
-    # -- deprecated shims --------------------------------------------------
-    # The flag-folding classmethods below predate the declarative
-    # scenario API (``repro.scenario``); cross-field validation now
-    # lives in the spec tree and these delegate to
-    # ``repro.scenario.spec.config_from_specs``.  They keep their old
-    # signatures and semantics for external callers, but new code
-    # should build a ``ScenarioSpec`` (or call ``config_from_specs``
-    # directly).
-
-    @staticmethod
-    def _deprecated(name: str) -> None:
-        import warnings
-
-        warnings.warn(
-            f"MetadataConfig.{name} is deprecated; build a "
-            "repro.scenario.ScenarioSpec (or use "
-            "repro.scenario.config_from_specs) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    @classmethod
-    def from_network_args(
-        cls,
-        bandwidth_model: Optional[str],
-        egress_cap_mb: Optional[float] = None,
-        ingress_cap_mb: Optional[float] = None,
-        rpc_flow_weight: float = 1.0,
-    ) -> Optional["MetadataConfig"]:
-        """Deprecated: build a validated config from CLI-level WAN knobs.
-
-        Thin shim over the ``repro.scenario`` spec path: caps are given
-        in megabytes/second and converted to bytes/second; returns
-        ``None`` when no model is pinned (keep the deployment
-        defaults); raises :class:`ValueError` when fair-only knobs are
-        combined with a non-fair model.
-        """
-        cls._deprecated("from_network_args")
-        # Imported lazily: repro.scenario sits above this module in the
-        # layering (its spec embeds workload specs, which import the
-        # engine stack), so a top-level import would be circular.
-        from repro.scenario.spec import NetworkSpec, config_from_specs
-
-        return config_from_specs(
-            network=NetworkSpec(
-                bandwidth_model=bandwidth_model,
-                egress_cap_mb=egress_cap_mb,
-                ingress_cap_mb=ingress_cap_mb,
-                rpc_flow_weight=rpc_flow_weight,
-            )
-        )
-
-    @classmethod
-    def from_scheduler_args(
-        cls,
-        scheduler: Optional[str],
-        hybrid_locality_weight: float = 1.0,
-        hybrid_load_weight: float = 1.0,
-        hybrid_transfer_weight: float = 1.0,
-        bw_pending_penalty: float = 1.0,
-        base: Optional["MetadataConfig"] = None,
-    ) -> Optional["MetadataConfig"]:
-        """Deprecated: fold validated scheduler knobs into a config.
-
-        Thin shim over the ``repro.scenario`` spec path: returns
-        ``base`` unchanged (possibly ``None``) when no scheduler is
-        pinned, and raises :class:`ValueError` when policy-specific
-        knobs are combined with a different policy.
-        """
-        cls._deprecated("from_scheduler_args")
-        from repro.scenario.spec import SchedulerSpec, config_from_specs
-
-        return config_from_specs(
-            scheduler=SchedulerSpec(
-                name=scheduler,
-                hybrid_locality_weight=hybrid_locality_weight,
-                hybrid_load_weight=hybrid_load_weight,
-                hybrid_transfer_weight=hybrid_transfer_weight,
-                bw_pending_penalty=bw_pending_penalty,
-            ),
-            base=base,
-        )
-
-    @classmethod
-    def from_workload_args(
-        cls,
-        admission: Optional[str],
-        max_in_flight: Optional[int] = None,
-        token_rate: Optional[float] = None,
-        token_burst: Optional[int] = None,
-        base: Optional["MetadataConfig"] = None,
-    ) -> Optional["MetadataConfig"]:
-        """Deprecated: fold validated workload knobs into a config.
-
-        Thin shim over the ``repro.scenario`` spec path: returns
-        ``base`` unchanged (possibly ``None``) when no admission policy
-        is pinned, and raises :class:`ValueError` when policy-specific
-        knobs are combined with a different policy.
-        """
-        cls._deprecated("from_workload_args")
-        from repro.scenario.spec import config_from_specs
-
-        return config_from_specs(
-            admission=admission,
-            max_in_flight=max_in_flight,
-            token_rate=token_rate,
-            token_burst=token_burst,
-            base=base,
-        )
-
     def validate(self) -> None:
         if self.service_time <= 0:
             raise ValueError("service_time must be positive")

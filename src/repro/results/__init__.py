@@ -25,6 +25,8 @@ from repro.results.serialize import (
     sweep_cell_to_dict,
     sweep_result_to_dict,
     synthetic_result_to_dict,
+    workflow_result_to_dict,
+    workload_result_to_dict,
 )
 from repro.results.store import ResultStore, current_git_rev
 
@@ -41,4 +43,6 @@ __all__ = [
     "sweep_cell_to_dict",
     "sweep_result_to_dict",
     "synthetic_result_to_dict",
+    "workflow_result_to_dict",
+    "workload_result_to_dict",
 ]

@@ -10,9 +10,9 @@ The scenario layer made every experiment *description* serializable
   ``metrics`` mapping that ``repro.cli diff`` compares key by key);
 - :func:`sweep_result_to_dict` / :func:`sweep_cell_to_dict` -- a whole
   sweep grid, errored cells included;
-- :func:`synthetic_result_to_dict` -- the synthetic surface twin of
-  the existing ``workflow_result_to_dict``/``workload_result_to_dict``
-  in ``repro.analysis.export``.
+- :func:`synthetic_result_to_dict`, :func:`workflow_result_to_dict`
+  and :func:`workload_result_to_dict` -- each surface's native payload
+  (an artifact's ``result`` section).
 
 Documents are plain dicts of JSON scalars/lists/dicts; wall-clock and
 git-revision stamps are *not* part of these payloads (the
@@ -23,16 +23,16 @@ save time.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
-from repro.analysis.export import (
-    workflow_result_to_dict,
-    workload_result_to_dict,
-)
+from repro.analysis.metrics import summarize_ops
 from repro.experiments.synthetic import SyntheticResult
+from repro.metadata.stats import OpStats
 from repro.scenario.runner import ScenarioResult
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.sweep import SweepCell, SweepResult
+from repro.workflow.engine import TaskResult, WorkflowResult
+from repro.workload.result import WorkloadResult
 
 __all__ = [
     "result_metrics",
@@ -41,6 +41,8 @@ __all__ = [
     "sweep_cell_to_dict",
     "sweep_result_to_dict",
     "synthetic_result_to_dict",
+    "workflow_result_to_dict",
+    "workload_result_to_dict",
 ]
 
 
@@ -67,6 +69,92 @@ def synthetic_result_to_dict(result: SyntheticResult) -> Dict[str, Any]:
         "node_times": [float(t) for t in result.node_times],
         "node_sites": list(result.node_sites),
         "node_time_by_site": result.node_time_by_site(),
+    }
+
+
+def _ops_to_records(stats: OpStats) -> List[Dict[str, Any]]:
+    return [
+        {
+            "kind": r.kind.value,
+            "key": r.key,
+            "site": r.site,
+            "started_at": r.started_at,
+            "finished_at": r.finished_at,
+            "latency": r.latency,
+            "local": r.local,
+            "found": r.found,
+            "retries": r.retries,
+            "run": r.run,
+        }
+        for r in stats.records
+    ]
+
+
+def _task_result_to_dict(r: TaskResult) -> Dict[str, Any]:
+    return {
+        "task_id": r.task_id,
+        "vm": r.vm,
+        "site": r.site,
+        "started_at": r.started_at,
+        "finished_at": r.finished_at,
+        "duration": r.duration,
+        "metadata_time": r.metadata_time,
+        "transfer_time": r.transfer_time,
+        "compute_time": r.compute_time,
+    }
+
+
+def workflow_result_to_dict(
+    result: WorkflowResult, include_ops: bool = False
+) -> Dict[str, Any]:
+    """Flatten a workflow run, with headline op metrics always included."""
+    doc: Dict[str, Any] = {
+        "workflow": result.workflow,
+        "strategy": result.strategy,
+        "makespan": result.makespan,
+        "total_metadata_time": result.total_metadata_time,
+        "total_transfer_time": result.total_transfer_time,
+        "tasks_per_site": result.tasks_per_site(),
+        "tasks": [_task_result_to_dict(r) for r in result.task_results],
+    }
+    if result.ops is not None:
+        doc["op_metrics"] = summarize_ops(result.ops).as_dict()
+        if include_ops:
+            doc["ops"] = _ops_to_records(result.ops)
+    return doc
+
+
+def workload_result_to_dict(result: WorkloadResult) -> Dict[str, Any]:
+    """Flatten a multi-tenant workload run, per-instance results inline."""
+    return {
+        "name": result.name,
+        "strategy": result.strategy,
+        "scheduler": result.scheduler,
+        "admission": result.admission,
+        "mode": result.mode,
+        "makespan": result.makespan,
+        "peak_in_flight": result.peak_in_flight,
+        "admission_bound": result.admission_bound,
+        "total_ops": result.total_ops,
+        "wan_bytes": result.wan_bytes,
+        "jain_fairness": result.jain_fairness(),
+        "makespan_by_tenant": result.makespan_by_tenant(),
+        "queue_wait_by_tenant": result.queue_wait_by_tenant(),
+        "slowdown_by_tenant": result.slowdown_by_tenant(),
+        "instances": [
+            {
+                "tenant": r.tenant,
+                "application": r.application,
+                "run": r.run,
+                "submitted_at": r.submitted_at,
+                "admitted_at": r.admitted_at,
+                "finished_at": r.finished_at,
+                "queue_wait": r.queue_wait,
+                "makespan": r.makespan,
+                "result": workflow_result_to_dict(r.result),
+            }
+            for r in result.records
+        ],
     }
 
 
@@ -125,8 +213,8 @@ def scenario_result_to_dict(
     Carries the full spec (so the artifact alone reproduces the run
     via ``ScenarioSpec.from_dict(doc["spec"]).run()``), the spec's
     content hash, the flat ``metrics`` diff keys, the fault events
-    that fired, execution ``provenance`` (kernel queue backend, flow
-    solver mode, processed-event count -- facts about *how* the run
+    that fired, execution ``provenance`` (flow solver mode,
+    processed-event count -- facts about *how* the run
     was computed, surfaced separately by ``repro.cli diff``), the
     observability summary under ``obs`` when tracing was on, and the
     surface's native payload under ``result``.

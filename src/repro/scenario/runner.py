@@ -52,8 +52,7 @@ class ScenarioResult:
     :class:`~repro.workload.result.WorkloadResult`); the wrapper adds
     what the spec layer owns -- the resolved scheduler/admission names,
     the fault events that actually fired, WAN accounting, execution
-    provenance (kernel queue backend, flow-solver mode, processed-event
-    count) and, when tracing was on, the observability summary plus the
+    provenance (flow-solver mode, processed-event count) and, when tracing was on, the observability summary plus the
     live tracer for the Chrome/JSONL exporters.
     """
 
@@ -230,12 +229,11 @@ def _collect_events(injectors: List[object]) -> Tuple[FaultEvent, ...]:
 def _provenance(deployment: Deployment) -> Dict[str, object]:
     """Execution provenance: *how* the run was computed.
 
-    These facts never change the simulated numbers (the backends and
-    solvers are pinned equivalent by goldens), which is exactly why
-    they are recorded separately from ``metrics`` -- ``repro.cli diff``
-    surfaces a backend/solver swap without flagging the results.
+    These facts never change the simulated numbers (the flow solvers
+    are pinned equivalent by goldens), which is exactly why they are
+    recorded separately from ``metrics`` -- ``repro.cli diff`` surfaces
+    a solver swap without flagging the results.
     """
-    env = deployment.env
     network = deployment.network
     flow_solver = (
         f"fair/{network.flow_net.solver}"
@@ -243,9 +241,8 @@ def _provenance(deployment: Deployment) -> Dict[str, object]:
         else "slots"
     )
     return {
-        "queue_backend": env.queue_backend,
         "flow_solver": flow_solver,
-        "events_processed": env.events_processed,
+        "events_processed": deployment.env.events_processed,
     }
 
 

@@ -777,10 +777,7 @@ def config_from_specs(
 ) -> Optional[MetadataConfig]:
     """Fold validated spec components into a :class:`MetadataConfig`.
 
-    The single successor of the deprecated
-    ``MetadataConfig.from_network_args`` / ``from_scheduler_args`` /
-    ``from_workload_args`` classmethods (which now delegate here):
-    each component is validated, and contributes its fields on top of
+    Each component is validated, and contributes its fields on top of
     ``base`` only when it actually pins something.  Returns ``base``
     unchanged (possibly ``None``) when nothing is pinned, so callers
     keep their defaults -- a ``None`` config stays ``None``.

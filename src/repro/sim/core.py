@@ -25,14 +25,7 @@ a flow starts or finishes):
   O(log n), instead of rebuilding the heap.  Dead entries are skipped
   (and purged) as they surface, and when more than half the calendar is
   dead the whole queue is compacted in one O(n) pass so rebalance churn
-  can never grow the calendar without bound;
-- two interchangeable calendar backends sit behind the same
-  ``Environment`` API: the default binary heap, and a bucketed calendar
-  queue (``Environment(queue="bucket")``) that spreads entries over
-  fixed-width time buckets with a small heap per bucket.  Pop order is
-  identical by construction (both orders are the total order on the
-  ``(time, priority, sequence)`` key), which
-  ``tests/sim/test_queue_backends.py`` pins down.
+  can never grow the calendar without bound.
 
 See ``docs/performance.md`` for the profiling workflow these choices
 came from.
@@ -40,8 +33,7 @@ came from.
 
 from __future__ import annotations
 
-import heapq
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import (
     Any,
@@ -239,10 +231,7 @@ class Timeout(Event):
         # on the single most frequent allocation in the simulator.
         entry = [env.now + delay, 1, next(env._seq), self]
         self._entry = entry
-        if env._bucket is None:
-            heappush(env._queue, entry)
-        else:
-            env._bucket.push(entry)
+        heappush(env._queue, entry)
         if env._trace_kernel:
             env.tracer.emit(
                 "kernel", "schedule",
@@ -267,10 +256,7 @@ class Initialize(Event):
         # Inlined Environment._schedule (URGENT priority, zero delay).
         entry = [env.now, 0, next(env._seq), self]
         self._entry = entry
-        if env._bucket is None:
-            heappush(env._queue, entry)
-        else:
-            env._bucket.push(entry)
+        heappush(env._queue, entry)
         if env._trace_kernel:
             env.tracer.emit(
                 "kernel", "schedule",
@@ -454,100 +440,6 @@ class AnyOf(ConditionEvent):
         return fired >= 1
 
 
-class BucketQueue:
-    """A calendar (bucketed) event queue with heap-identical pop order.
-
-    Entries are spread over fixed-width time buckets; each bucket is a
-    small binary heap on the full ``(time, priority, seq)`` key and a
-    heap of bucket indices tracks the earliest non-empty bucket.  Events
-    at non-finite times (the flow model parks stalled transfers at
-    ``inf``) live in a dedicated overflow heap that is only consulted
-    when every finite bucket has drained.
-
-    Because the bucket index is monotone in time, the minimum entry of
-    the earliest non-empty bucket *is* the global minimum, so the pop
-    sequence equals the plain heap's for any push/pop interleaving --
-    the property that lets the two backends sit behind one
-    ``Environment`` API with bit-for-bit identical simulations.
-    """
-
-    __slots__ = ("width", "_buckets", "_idx_heap", "_overflow", "_size")
-
-    def __init__(self, width: float = 1.0):
-        if not (width > 0):
-            raise ValueError(f"bucket width must be positive, got {width!r}")
-        self.width = float(width)
-        self._buckets: dict = {}
-        self._idx_heap: List[int] = []
-        self._overflow: List[list] = []
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry: list) -> None:
-        when = entry[0]
-        if when == _INF or when != when:  # inf or NaN-safe guard
-            heappush(self._overflow, entry)
-        else:
-            idx = int(when / self.width)
-            bucket = self._buckets.get(idx)
-            if bucket:
-                heappush(bucket, entry)
-            else:
-                # New or drained bucket: (re)announce its index.  A
-                # drained bucket's index may still sit in the index heap;
-                # duplicates are harmless (skipped when found empty).
-                if bucket is None:
-                    self._buckets[idx] = [entry]
-                else:
-                    bucket.append(entry)
-                heappush(self._idx_heap, idx)
-        self._size += 1
-
-    def _min_bucket(self) -> Optional[list]:
-        idx_heap = self._idx_heap
-        buckets = self._buckets
-        while idx_heap:
-            bucket = buckets.get(idx_heap[0])
-            if bucket:
-                return bucket
-            heappop(idx_heap)
-        return None
-
-    def peek_entry(self) -> Optional[list]:
-        """The minimum entry without removing it (None when empty)."""
-        bucket = self._min_bucket()
-        if bucket is not None:
-            return bucket[0]
-        return self._overflow[0] if self._overflow else None
-
-    def pop(self) -> list:
-        """Remove and return the minimum entry (IndexError when empty)."""
-        bucket = self._min_bucket()
-        if bucket is None:
-            bucket = self._overflow
-        entry = heappop(bucket)
-        self._size -= 1
-        return entry
-
-    def compact(self) -> None:
-        """Drop lazily-deleted entries and rebuild the bucket heaps."""
-        alive = 0
-        for idx in list(self._buckets):
-            bucket = [e for e in self._buckets[idx] if e[3] is not None]
-            if bucket:
-                heapq.heapify(bucket)
-                self._buckets[idx] = bucket
-                alive += len(bucket)
-            else:
-                del self._buckets[idx]
-        self._idx_heap = sorted(self._buckets)
-        self._overflow = [e for e in self._overflow if e[3] is not None]
-        heapq.heapify(self._overflow)
-        self._size = alive + len(self._overflow)
-
-
 #: Compaction is considered once the calendar holds this many entries.
 _COMPACT_MIN = 64
 
@@ -567,36 +459,15 @@ class Environment:
     ----------
     initial_time:
         Starting value of the virtual clock.
-    queue:
-        Calendar backend: ``"heap"`` (default; a single binary heap) or
-        ``"bucket"`` (a calendar queue of fixed-width time buckets --
-        see :class:`BucketQueue`).  Both produce identical simulations.
-    bucket_width:
-        Bucket span in simulated seconds for the ``"bucket"`` backend
-        (ignored by ``"heap"``).
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        queue: str = "heap",
-        bucket_width: float = 1.0,
-    ):
+    def __init__(self, initial_time: float = 0.0):
         #: Current simulated time (seconds by convention in this repo).
         #: A plain attribute, not a property: the kernel reads it on
         #: every schedule and the model layers on every op, so the
         #: descriptor overhead was measurable.  Treat it as read-only.
         self.now = float(initial_time)
-        if queue == "heap":
-            self._queue: Any = []
-            self._bucket: Optional[BucketQueue] = None
-        elif queue == "bucket":
-            self._bucket = BucketQueue(bucket_width)
-            self._queue = self._bucket
-        else:
-            raise ValueError(
-                f"unknown queue backend {queue!r}; expected 'heap' or 'bucket'"
-            )
+        self._queue: List[list] = []
         self._seq = count()
         self._dead = 0
         self._active_process: Optional[Process] = None
@@ -618,11 +489,6 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
-
-    @property
-    def queue_backend(self) -> str:
-        """Which calendar implementation this environment runs on."""
-        return "heap" if self._bucket is None else "bucket"
 
     @property
     def queued(self) -> int:
@@ -669,10 +535,7 @@ class Environment:
     ) -> None:
         entry = [self.now + delay, priority, next(self._seq), event]
         event._entry = entry
-        if self._bucket is None:
-            heappush(self._queue, entry)
-        else:
-            self._bucket.push(entry)
+        heappush(self._queue, entry)
         if self._trace_kernel:
             self.tracer.emit(
                 "kernel", "schedule",
@@ -741,12 +604,9 @@ class Environment:
         seq)`` key, so re-heapifying the surviving entries cannot change
         the pop sequence.
         """
-        if self._bucket is None:
-            queue = self._queue
-            queue[:] = [e for e in queue if e[3] is not None]
-            heapq.heapify(queue)
-        else:
-            self._bucket.compact()
+        queue = self._queue
+        queue[:] = [e for e in queue if e[3] is not None]
+        heapify(queue)
         self._dead = 0
 
     def peek(self) -> float:
@@ -755,40 +615,22 @@ class Environment:
         Purges lazily-deleted entries from the queue head as a side effect.
         """
         queue = self._queue
-        if self._bucket is None:
-            while queue and queue[0][3] is None:
-                heappop(queue)
-                self._dead -= 1
-            return queue[0][0] if queue else _INF
-        while queue:
-            entry = queue.peek_entry()
-            if entry[3] is not None:
-                return entry[0]
-            queue.pop()
+        while queue and queue[0][3] is None:
+            heappop(queue)
             self._dead -= 1
-        return _INF
+        return queue[0][0] if queue else _INF
 
     def step(self) -> None:
         """Pop and process exactly one (live) event."""
         queue = self._queue
-        if self._bucket is None:
-            while queue:
-                entry = heappop(queue)
-                event = entry[3]
-                if event is not None:
-                    break
-                self._dead -= 1  # lazily-deleted (cancelled or rescheduled)
-            else:
-                raise SimulationError("No scheduled events")
+        while queue:
+            entry = heappop(queue)
+            event = entry[3]
+            if event is not None:
+                break
+            self._dead -= 1  # lazily-deleted (cancelled or rescheduled)
         else:
-            while queue:
-                entry = queue.pop()
-                event = entry[3]
-                if event is not None:
-                    break
-                self._dead -= 1
-            else:
-                raise SimulationError("No scheduled events")
+            raise SimulationError("No scheduled events")
         self.now = entry[0]
         self.events_processed += 1
         if self._trace_kernel:
@@ -841,7 +683,6 @@ class Environment:
         # here avoids a re-peek and a method call per event -- this is
         # the hottest loop in the whole simulator.
         queue = self._queue
-        heap_mode = self._bucket is None
         trace = self._trace_kernel
         processed = 0
         # The dispatch count is kept in a local and folded back in the
@@ -853,25 +694,15 @@ class Environment:
                 if stop_event is not None and stop_event.callbacks is None:
                     break  # the 'until' event has been processed
                 # Inline peek: purge dead entries, read the horizon.
-                if heap_mode:
-                    entry = queue[0]
-                    if entry[3] is None:
-                        heappop(queue)
-                        self._dead -= 1
-                        continue
-                else:
-                    entry = queue.peek_entry()
-                    if entry[3] is None:
-                        queue.pop()
-                        self._dead -= 1
-                        continue
+                entry = queue[0]
+                if entry[3] is None:
+                    heappop(queue)
+                    self._dead -= 1
+                    continue
                 if entry[0] > deadline:
                     self.now = deadline
                     break
-                if heap_mode:
-                    heappop(queue)
-                else:
-                    queue.pop()
+                heappop(queue)
                 event = entry[3]
                 self.now = entry[0]
                 processed += 1

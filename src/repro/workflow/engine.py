@@ -112,11 +112,9 @@ class WorkflowEngine:
     a registry name (``"locality"``, ``"round_robin"``,
     ``"load_balanced"``, ``"bandwidth_aware"``, ``"hybrid"``); when
     omitted it falls back to the strategy config's ``scheduler``, then
-    the deployment's, then the historical default -- ``"locality"``
-    (or ``"round_robin"`` with ``locality_scheduling=False``, the
-    legacy switch kept for backward compatibility).  Name-built
-    policies pick up their knobs (hybrid weights, pending penalty)
-    from the strategy config.
+    the deployment's, then the historical default, ``"locality"``.
+    Name-built policies pick up their knobs (hybrid weights, pending
+    penalty) from the strategy config.
 
     ``input_site`` selects the site where the workflow's external
     inputs are staged before the run (default: the deployment's first
@@ -129,7 +127,6 @@ class WorkflowEngine:
         deployment: Deployment,
         strategy: MetadataStrategy,
         transfer: Optional[TransferService] = None,
-        locality_scheduling: bool = True,
         proactive_provisioning: bool = False,
         data_provisioning: bool = False,
         scheduler: Optional[Union[str, PlacementPolicy]] = None,
@@ -147,7 +144,6 @@ class WorkflowEngine:
                 config.transfer_flow_weight if config is not None else 1.0
             ),
         )
-        self.locality_scheduling = locality_scheduling
         if input_site is not None:
             deployment.topology.get(input_site)  # validate the site name
         self.input_site = input_site
@@ -203,16 +199,14 @@ class WorkflowEngine:
         """Turn the ``scheduler`` argument into a policy instance.
 
         Precedence: explicit argument > strategy config > deployment
-        default > the legacy ``locality_scheduling`` switch.
+        default > ``"locality"``.
         """
         if scheduler is None:
             scheduler = getattr(config, "scheduler", None)
         if scheduler is None:
             scheduler = getattr(self.deployment, "scheduler", None)
         if scheduler is None:
-            scheduler = (
-                "locality" if self.locality_scheduling else "round_robin"
-            )
+            scheduler = "locality"
         if isinstance(scheduler, PlacementPolicy):
             return scheduler
         knobs = {}

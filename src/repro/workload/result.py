@@ -212,8 +212,8 @@ class WorkloadResult:
     # -- reporting ---------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON document form; see ``repro.analysis.export``."""
-        from repro.analysis.export import workload_result_to_dict
+        """JSON document form; see ``repro.results.serialize``."""
+        from repro.results.serialize import workload_result_to_dict
 
         return workload_result_to_dict(self)
 

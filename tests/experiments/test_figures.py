@@ -12,7 +12,7 @@ from repro.experiments.fig6_progress import run_fig6
 from repro.experiments.fig7_throughput import run_fig7
 from repro.experiments.fig8_scalability import run_fig8
 from repro.experiments.fig10_workflows import run_fig10
-from repro.experiments.scenarios import SCENARIOS
+from repro.experiments.scenarios import TABLE_I
 from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import StrategyName
 
@@ -128,16 +128,16 @@ class TestFig10:
 
 class TestScenarios:
     def test_table1_settings(self):
-        assert SCENARIOS["SS"].ops_per_task == 100
-        assert SCENARIOS["SS"].compute_time == 1.0
-        assert SCENARIOS["CI"].ops_per_task == 200
-        assert SCENARIOS["CI"].compute_time == 5.0
-        assert SCENARIOS["MI"].ops_per_task == 1000
-        assert SCENARIOS["MI"].compute_time == 1.0
+        assert TABLE_I["SS"].ops_per_task == 100
+        assert TABLE_I["SS"].compute_time == 1.0
+        assert TABLE_I["CI"].ops_per_task == 200
+        assert TABLE_I["CI"].compute_time == 5.0
+        assert TABLE_I["MI"].ops_per_task == 1000
+        assert TABLE_I["MI"].compute_time == 1.0
 
     def test_totals(self):
-        assert SCENARIOS["SS"].paper_total_buzzflow == 7_200
-        assert SCENARIOS["CI"].paper_total_buzzflow == 14_400
-        assert SCENARIOS["MI"].paper_total_buzzflow == 72_000
-        assert SCENARIOS["SS"].paper_total_montage == 16_000
-        assert SCENARIOS["CI"].paper_total_montage == 32_000
+        assert TABLE_I["SS"].paper_total_buzzflow == 7_200
+        assert TABLE_I["CI"].paper_total_buzzflow == 14_400
+        assert TABLE_I["MI"].paper_total_buzzflow == 72_000
+        assert TABLE_I["SS"].paper_total_montage == 16_000
+        assert TABLE_I["CI"].paper_total_montage == 32_000

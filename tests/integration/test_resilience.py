@@ -82,7 +82,7 @@ class TestWorkflowUnderFaults:
                 dep, strategy="centralized", config=fast_config
             )
             engine = WorkflowEngine(
-                dep, ctrl.strategy, locality_scheduling=False
+                dep, ctrl.strategy, scheduler="round_robin"
             )
             if with_spike:
                 LatencySpikeInjector(

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.metadata.config import MetadataConfig
+from repro.scenario import NetworkSpec, SchedulerSpec, config_from_specs
+from repro.util.units import MB
 
 
 class TestDefaultsAreValid:
@@ -51,15 +53,21 @@ def test_retry_cap_must_cover_interval():
         cfg.validate()
 
 
-class TestFromSchedulerArgs:
+def _scheduler_config(name, base=None, **knobs):
+    return config_from_specs(
+        scheduler=SchedulerSpec(name=name, **knobs), base=base
+    )
+
+
+class TestConfigFromSpecs:
     def test_none_without_knobs_keeps_base(self):
-        assert MetadataConfig.from_scheduler_args(None) is None
+        assert _scheduler_config(None) is None
         base = MetadataConfig(bandwidth_model="fair")
-        assert MetadataConfig.from_scheduler_args(None, base=base) is base
+        assert _scheduler_config(None, base=base) is base
 
     def test_scheduler_pinned_on_top_of_base(self):
         base = MetadataConfig(bandwidth_model="fair", rpc_flow_weight=2.0)
-        cfg = MetadataConfig.from_scheduler_args(
+        cfg = _scheduler_config(
             "bandwidth_aware", bw_pending_penalty=0.5, base=base
         )
         assert cfg.scheduler == "bandwidth_aware"
@@ -71,9 +79,7 @@ class TestFromSchedulerArgs:
         from repro.scheduling import SCHEDULER_NAMES
 
         for name in SCHEDULER_NAMES:
-            assert (
-                MetadataConfig.from_scheduler_args(name).scheduler == name
-            )
+            assert _scheduler_config(name).scheduler == name
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -88,39 +94,17 @@ class TestFromSchedulerArgs:
     def test_mismatched_knobs_rejected(self, kwargs):
         scheduler = kwargs.pop("scheduler")
         with pytest.raises(ValueError):
-            MetadataConfig.from_scheduler_args(scheduler, **kwargs)
+            _scheduler_config(scheduler, **kwargs)
 
     def test_pending_penalty_allowed_for_hybrid(self):
-        cfg = MetadataConfig.from_scheduler_args(
+        cfg = _scheduler_config(
             "hybrid", bw_pending_penalty=0.0, hybrid_locality_weight=3.0
         )
         assert cfg.bw_pending_penalty == 0.0
         assert cfg.hybrid_locality_weight == 3.0
 
-
-class TestDeprecatedShims:
-    """The from_*_args classmethods survive as warned shims over the
-    repro.scenario spec path: old signatures, identical configs."""
-
-    def test_all_three_emit_deprecation_warnings(self):
-        with pytest.warns(DeprecationWarning, match="from_network_args"):
-            MetadataConfig.from_network_args("fair")
-        with pytest.warns(DeprecationWarning, match="from_scheduler_args"):
-            MetadataConfig.from_scheduler_args("locality")
-        with pytest.warns(DeprecationWarning, match="from_workload_args"):
-            MetadataConfig.from_workload_args("unbounded")
-
-    def test_network_shim_equals_spec_path(self):
-        from repro.scenario import NetworkSpec, config_from_specs
-
-        with pytest.warns(DeprecationWarning):
-            shim = MetadataConfig.from_network_args(
-                "fair",
-                egress_cap_mb=10.0,
-                ingress_cap_mb=5.0,
-                rpc_flow_weight=2.0,
-            )
-        spec = config_from_specs(
+    def test_network_caps_convert_to_bytes(self):
+        cfg = config_from_specs(
             network=NetworkSpec(
                 bandwidth_model="fair",
                 egress_cap_mb=10.0,
@@ -128,61 +112,24 @@ class TestDeprecatedShims:
                 rpc_flow_weight=2.0,
             )
         )
-        assert shim == spec
-        with pytest.warns(DeprecationWarning):
-            assert MetadataConfig.from_network_args(None) is None
-
-    def test_scheduler_shim_equals_spec_path(self):
-        from repro.scenario import SchedulerSpec, config_from_specs
-
-        base = MetadataConfig(bandwidth_model="fair", rpc_flow_weight=2.0)
-        with pytest.warns(DeprecationWarning):
-            shim = MetadataConfig.from_scheduler_args(
-                "hybrid",
-                hybrid_locality_weight=3.0,
-                bw_pending_penalty=0.5,
-                base=base,
-            )
-        spec = config_from_specs(
-            scheduler=SchedulerSpec(
-                name="hybrid",
-                hybrid_locality_weight=3.0,
-                bw_pending_penalty=0.5,
-            ),
-            base=base,
-        )
-        assert shim == spec
-        assert shim.bandwidth_model == "fair"
-
-    def test_workload_shim_equals_spec_path(self):
-        from repro.scenario import config_from_specs
-
-        with pytest.warns(DeprecationWarning):
-            shim = MetadataConfig.from_workload_args(
-                "max_in_flight", max_in_flight=4
-            )
-        spec = config_from_specs(admission="max_in_flight", max_in_flight=4)
-        assert shim == spec
-        assert shim.token_burst == 1
+        assert cfg.site_egress_bw == 10.0 * MB
+        assert cfg.site_ingress_bw == 5.0 * MB
+        assert cfg.rpc_flow_weight == 2.0
+        assert config_from_specs(network=NetworkSpec()) is None
 
     @pytest.mark.parametrize(
-        "call",
+        "kwargs",
         [
-            lambda: MetadataConfig.from_network_args(
-                "slots", egress_cap_mb=10.0
-            ),
-            lambda: MetadataConfig.from_scheduler_args(
-                "locality", hybrid_load_weight=2.0
-            ),
-            lambda: MetadataConfig.from_workload_args(
-                "unbounded", max_in_flight=2
-            ),
+            dict(network=NetworkSpec(bandwidth_model="slots",
+                                     egress_cap_mb=10.0)),
+            dict(scheduler=SchedulerSpec(name="locality",
+                                         hybrid_load_weight=2.0)),
+            dict(admission="unbounded", max_in_flight=2),
         ],
     )
-    def test_shims_still_enforce_cross_field_rules(self, call):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                call()
+    def test_cross_field_rules_enforced(self, kwargs):
+        with pytest.raises(ValueError):
+            config_from_specs(**kwargs)
 
 
 def test_config_is_plain_dataclass():

@@ -15,9 +15,15 @@ import json
 import numpy as np
 import pytest
 
+from repro.cloud.flow import SOLVERS
 from repro.obs import chrome_trace_doc, events_jsonl, write_chrome_trace
 from repro.results import diff_artifacts, scenario_result_to_dict
-from repro.scenario import ObservabilitySpec, ScenarioSpec, get_scenario
+from repro.scenario import (
+    NetworkSpec,
+    ObservabilitySpec,
+    ScenarioSpec,
+    get_scenario,
+)
 
 
 def small_workflow_spec(**obs_knobs):
@@ -132,14 +138,19 @@ class TestSketchAccuracy:
 
 
 class TestProvenanceSurface:
-    def test_artifact_carries_provenance(self):
-        result = small_workflow_spec().run()
-        doc = scenario_result_to_dict(result)
-        prov = doc["provenance"]
-        assert prov["queue_backend"] in ("heap", "bucket")
-        assert prov["flow_solver"] in (
-            "slots", "fair/full", "fair/incremental",
+    @pytest.mark.parametrize(
+        "model, solver", [("slots", "slots"), ("fair", "fair/incremental")]
+    )
+    def test_artifact_carries_provenance(self, model, solver):
+        spec = small_workflow_spec().replace(
+            network=NetworkSpec(bandwidth_model=model)
         )
+        doc = scenario_result_to_dict(spec.run())
+        prov = doc["provenance"]
+        assert prov["flow_solver"] == solver
+        assert prov["flow_solver"] in {"slots"} | {
+            f"fair/{name}" for name in SOLVERS
+        }
         assert prov["events_processed"] > 0
         assert "obs" not in doc  # untraced runs stay lean
 
@@ -147,13 +158,10 @@ class TestProvenanceSurface:
         result = small_workflow_spec().run()
         doc_a = scenario_result_to_dict(result)
         doc_b = json.loads(json.dumps(doc_a))
-        doc_b["provenance"]["queue_backend"] = "bucket-test"
+        doc_b["provenance"]["flow_solver"] = "fair/verify"
         diff = diff_artifacts(doc_a, doc_b)
         assert diff.provenance == {
-            "queue_backend": (
-                doc_a["provenance"]["queue_backend"],
-                "bucket-test",
-            )
+            "flow_solver": (doc_a["provenance"]["flow_solver"], "fair/verify")
         }
         assert "provenance" in diff.render()
         # Old artifacts without the key still diff cleanly.

@@ -1,17 +1,13 @@
-"""Tests for JSON export of results."""
+"""Surface payloads: the ``result`` section of a scenario artifact."""
 
 import json
 
 import pytest
 
-from repro.analysis.export import (
-    export_json,
-    ops_to_records,
-    workflow_result_to_dict,
-)
 from repro.cloud.deployment import Deployment
 from repro.cloud.presets import azure_4dc_topology
 from repro.metadata.controller import ArchitectureController
+from repro.results import workflow_result_to_dict
 from repro.workflow.engine import WorkflowEngine
 from repro.workflow.patterns import pipeline
 
@@ -28,7 +24,7 @@ def result(fast_config):
     return res
 
 
-class TestExport:
+class TestWorkflowPayload:
     def test_workflow_result_dict_shape(self, result):
         doc = workflow_result_to_dict(result)
         assert doc["workflow"] == "pipeline"
@@ -44,16 +40,6 @@ class TestExport:
         first = doc["ops"][0]
         assert {"kind", "site", "latency", "local"} <= set(first)
 
-    def test_ops_limit(self, result):
-        assert len(ops_to_records(result.ops, limit=2)) == 2
-
-    def test_export_json_file(self, result, tmp_path):
-        path = tmp_path / "run.json"
-        export_json(result, path)
-        doc = json.loads(path.read_text())
-        assert doc["workflow"] == "pipeline"
-
-    def test_export_plain_document(self, tmp_path):
-        path = tmp_path / "doc.json"
-        export_json({"a": [1, 2, 3]}, path)
-        assert json.loads(path.read_text()) == {"a": [1, 2, 3]}
+    def test_payload_is_json_ready(self, result):
+        doc = workflow_result_to_dict(result, include_ops=True)
+        assert json.loads(json.dumps(doc)) == doc

@@ -39,11 +39,6 @@ class TestPolicyResolution:
         ctrl.shutdown()
         assert isinstance(engine.policy, LocalityPolicy)
 
-    def test_legacy_flag_maps_to_round_robin(self, dep, fast_config):
-        engine, ctrl = build(dep, fast_config, locality_scheduling=False)
-        ctrl.shutdown()
-        assert isinstance(engine.policy, RoundRobinPolicy)
-
     def test_config_pins_policy(self, dep, fast_config):
         cfg = MetadataConfig(
             **{**fast_config.__dict__, "scheduler": "load_balanced"}

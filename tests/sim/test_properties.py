@@ -1,11 +1,13 @@
 """Property-based tests for the DES kernel (hypothesis)."""
 
-import heapq
+from itertools import count
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, Environment, Resource
+from repro.sim import AllOf, AnyOf, Environment, EventPriority, Resource
+from repro.sim import core
 
 
 @given(
@@ -92,32 +94,66 @@ def test_resource_conservation(service_times, capacity):
     assert max(service_times) <= env.now <= sum(service_times) + 1e-9
 
 
-@given(
-    seed_events=st.lists(
-        st.tuples(
-            st.floats(min_value=0, max_value=50, allow_nan=False),
-            st.integers(min_value=0, max_value=5),
-        ),
-        min_size=1,
-        max_size=40,
-    )
+_PRIORITIES = st.sampled_from(
+    [EventPriority.URGENT, EventPriority.NORMAL, EventPriority.LOW]
 )
-def test_event_loop_matches_reference_heap(seed_events):
-    """The kernel processes events in exactly heap-sorted order."""
+# A few fixed instants make same-time ties (where priority and seq
+# decide) common instead of measure-zero.
+_DELAYS = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(
+    min_value=0, max_value=50, allow_nan=False
+)
+
+
+@given(
+    events=st.lists(st.tuples(_DELAYS, _PRIORITIES), min_size=1, max_size=60),
+    # (event index, cancel?, delay, new priority or None); a cancel
+    # ends an event's churn, so it is drawn one time in four.
+    churn=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=59),
+            st.sampled_from([False, False, False, True]),
+            _DELAYS,
+            st.none() | _PRIORITIES,
+        ),
+        max_size=60,
+    ),
+    # 0 compacts whenever half the calendar is dead, so small generated
+    # calendars exercise compaction too.
+    compact_min=st.sampled_from([core._COMPACT_MIN, 0]),
+)
+def test_event_loop_matches_reference_heap(events, churn, compact_min):
+    """Pop order is the sorted ``(time, priority, seq)`` order under churn."""
+    with mock.patch.object(core, "_COMPACT_MIN", compact_min):
+        _check_pop_order(events, churn)
+
+
+def _check_pop_order(events, churn):
     env = Environment()
     observed = []
-
-    def proc(delay, tag):
-        yield env.timeout(delay)
-        observed.append((env.now, tag))
-
-    expected_heap = []
-    for i, (delay, _extra) in enumerate(seed_events):
-        env.process(proc(delay, i))
-        heapq.heappush(expected_heap, (delay, i))
+    handles = []
+    live = {}  # tag -> (time, priority, seq) of its one live entry
+    seq = count()
+    for tag, (delay, prio) in enumerate(events):
+        ev = env.event()
+        ev._ok = True
+        ev._value = tag
+        ev.callbacks.append(lambda e: observed.append((e.env.now, e._value)))
+        env._schedule(ev, prio, delay)
+        handles.append(ev)
+        live[tag] = (delay, prio, next(seq))
+    for idx, cancel, delay, prio in churn:
+        tag = idx % len(events)
+        if tag not in live:
+            continue
+        if cancel:
+            env.cancel(handles[tag])
+            del live[tag]
+        else:
+            env.reschedule(handles[tag], delay, prio)
+            old_prio = live[tag][1]
+            live[tag] = (
+                delay, old_prio if prio is None else prio, next(seq)
+            )
     env.run()
-    expected = []
-    while expected_heap:
-        d, i = heapq.heappop(expected_heap)
-        expected.append((d, i))
-    assert observed == expected
+    expected = sorted(live, key=live.__getitem__)
+    assert observed == [(live[tag][0], tag) for tag in expected]

@@ -14,10 +14,10 @@ class TestParser:
         args = build_parser().parse_args(["figures", "--quick", "--only", "fig1"])
         assert args.quick and args.only == "fig1"
 
-    def test_simulate_defaults(self):
-        args = build_parser().parse_args(["simulate"])
-        assert args.strategy == "hybrid"
-        assert args.nodes == 32
+    def test_simulate_subcommand_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["simulate"])
+        assert exc.value.code == 2
 
 
 class TestCommands:
@@ -35,24 +35,22 @@ class TestCommands:
         ):
             assert name in out
 
-    def test_simulate_small(self, capsys):
+    def test_synthetic_benchmark_via_sweep(self, capsys):
+        """The reader/writer benchmark runs as a one-cell sweep."""
         assert (
             main(
                 [
-                    "simulate",
-                    "--strategy",
-                    "dn",
-                    "--nodes",
-                    "8",
-                    "--ops",
-                    "10",
+                    "sweep", "--scenario", "paper_synthetic",
+                    "--set", "strategy.name=dn",
+                    "--set", "n_nodes=8",
+                    "--set", "ops_per_node=10",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "throughput" in out
-        assert "mean node time by site" in out
+        assert "1 combinations" in out
+        assert "ops/s" in out
 
     def test_advise_montage(self, capsys):
         assert main(["advise", "--workflow", "montage", "--ops", "1000"]) == 0
@@ -91,7 +89,39 @@ class TestCommands:
         import json
 
         doc = json.loads(out_path.read_text())
-        assert doc["strategy"] == "hybrid"
+        assert doc["kind"] == "scenario-result"
+        assert doc["result"]["strategy"] == "hybrid"
+
+    def test_run_export_artifact_reproduces_and_diffs(self, capsys, tmp_path):
+        """run --export writes the artifact sweep --out stores: its spec
+        alone reproduces its metrics, and diff pairs two of them."""
+        import json
+
+        from repro.results import result_metrics
+        from repro.scenario import ScenarioSpec
+
+        paths = []
+        for seed in ("3", "4"):
+            path = tmp_path / f"run-{seed}.json"
+            assert (
+                main(
+                    [
+                        "run", "--workflow", "montage", "--ops", "2",
+                        "--nodes", "8", "--seed", seed,
+                        "--export", str(path),
+                    ]
+                )
+                == 0
+            )
+            paths.append(path)
+        doc = json.loads(paths[0].read_text())
+        rerun = ScenarioSpec.from_dict(doc["spec"]).run()
+        assert result_metrics(rerun) == doc["metrics"]
+        capsys.readouterr()
+        assert main(["diff", str(paths[0]), str(paths[1])]) == 0
+        out = capsys.readouterr().out
+        assert "makespan_s" in out
+        assert "seed" in out
 
     def test_advise_from_file(self, capsys, tmp_path):
         from repro.workflow import pipeline, save_workflow
@@ -390,6 +420,33 @@ class TestScenarioFlags:
         rc = main(["run", "--spec", str(path)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["sweep", "--set", "seed=1", "--quick"],
+            ["trace", "--quick"],
+            ["analyze", "--quick"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_mistyped_spec_field_exits_2(self, capsys, tmp_path, argv):
+        """Every spec-taking subcommand rejects a mistyped field the
+        same way: exit 2 with an error line, never a traceback."""
+        import json
+
+        from repro.scenario import get_scenario
+
+        doc = get_scenario("paper_synthetic").to_dict()
+        doc["n_nodes"] = "4"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        trace_out = ["--out", str(tmp_path / "trace.json")]
+        extra = trace_out if argv[0] == "trace" else []
+        rc = main(argv[:1] + ["--spec", str(path)] + argv[1:] + extra)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_runtime_value_error_reported_cleanly(self, capsys, tmp_path):
         """A spec that validates but cannot run (1-node synthetic

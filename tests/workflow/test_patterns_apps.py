@@ -15,7 +15,7 @@ from repro.workflow.patterns import (
     reduce_tree,
     scatter,
 )
-from repro.experiments.scenarios import SCENARIOS
+from repro.experiments.scenarios import TABLE_I
 
 
 class TestPipeline:
@@ -103,7 +103,7 @@ class TestBuzzFlow:
         assert all(len(lv) == 4 for lv in levels)
 
     def test_table1_totals(self):
-        for name, spec in SCENARIOS.items():
+        for name, spec in TABLE_I.items():
             wf = buzzflow(
                 ops_per_task=spec.ops_per_task,
                 compute_time=spec.compute_time,
@@ -134,15 +134,15 @@ class TestMontage:
     def test_table1_totals(self):
         # SS: the split job's 156 mandatory output publishes exceed the
         # 100-op budget, so the total lands 0.35 % above Table I.
-        ss = SCENARIOS["SS"]
+        ss = TABLE_I["SS"]
         wf = montage(ops_per_task=ss.ops_per_task)
         assert ss.paper_total_montage == 16_000
         assert abs(wf.total_metadata_ops - 16_000) / 16_000 < 0.005
         # CI and MI budgets exceed the structural op counts: exact.
-        ci = SCENARIOS["CI"]
+        ci = TABLE_I["CI"]
         wf = montage(ops_per_task=ci.ops_per_task)
         assert wf.total_metadata_ops == 32_000
-        mi = SCENARIOS["MI"]
+        mi = TABLE_I["MI"]
         wf = montage(ops_per_task=mi.ops_per_task)
         assert wf.total_metadata_ops == 160_000  # paper rounds to 150k
 

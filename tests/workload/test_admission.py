@@ -6,6 +6,7 @@ from repro.sim import Environment
 from repro.cloud.deployment import Deployment
 from repro.metadata.config import MetadataConfig
 from repro.metadata.controller import ArchitectureController
+from repro.scenario import config_from_specs
 from repro.workload import (
     ADMISSION_NAMES,
     MaxInFlightAdmission,
@@ -140,9 +141,9 @@ class TestThreading:
 
 
 class TestConfigValidation:
-    def test_from_workload_args_roundtrip(self):
-        cfg = MetadataConfig.from_workload_args(
-            "token_bucket", token_rate=2.0, token_burst=3
+    def test_config_from_specs_roundtrip(self):
+        cfg = config_from_specs(
+            admission="token_bucket", token_rate=2.0, token_burst=3
         )
         assert cfg.admission == "token_bucket"
         assert cfg.token_rate == 2.0
@@ -150,21 +151,21 @@ class TestConfigValidation:
 
     def test_no_knobs_returns_base(self):
         base = MetadataConfig()
-        assert MetadataConfig.from_workload_args(None, base=base) is base
-        assert MetadataConfig.from_workload_args(None) is None
+        assert config_from_specs(admission=None, base=base) is base
+        assert config_from_specs(admission=None) is None
 
     def test_max_in_flight_requires_policy(self):
         with pytest.raises(ValueError, match="max_in_flight"):
-            MetadataConfig.from_workload_args(None, max_in_flight=2)
+            config_from_specs(admission=None, max_in_flight=2)
         with pytest.raises(ValueError, match="max_in_flight"):
-            MetadataConfig.from_workload_args("unbounded", max_in_flight=2)
+            config_from_specs(admission="unbounded", max_in_flight=2)
 
     def test_token_knobs_require_policy(self):
         with pytest.raises(ValueError, match="token_bucket"):
-            MetadataConfig.from_workload_args("unbounded", token_rate=1.0)
+            config_from_specs(admission="unbounded", token_rate=1.0)
         with pytest.raises(ValueError, match="token_bucket"):
-            MetadataConfig.from_workload_args(
-                "max_in_flight", token_burst=2
+            config_from_specs(
+                admission="max_in_flight", token_burst=2
             )
 
     def test_validate_rejects_bad_values(self):

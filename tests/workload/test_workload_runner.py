@@ -255,19 +255,15 @@ class TestMetrics:
         assert min(res.slowdowns()) >= 1.0
         assert res.slowdown_percentile(0) >= 1.0
 
-    def test_export_json_roundtrip(self, tmp_path):
+    def test_to_dict_json_roundtrip(self):
         import json
-
-        from repro.analysis.export import export_json
 
         spec = WorkloadSpec.uniform(
             2, applications=("scatter",), ops_per_task=2,
             compute_time=0.1, seed=1,
         )
         res, _ = run_workload(spec)
-        out = tmp_path / "workload.json"
-        export_json(res, out)
-        doc = json.loads(out.read_text())
+        doc = json.loads(json.dumps(res.to_dict()))
         assert doc["strategy"] == "hybrid"
         assert len(doc["instances"]) == 2
         assert doc["jain_fairness"] == pytest.approx(res.jain_fairness())
