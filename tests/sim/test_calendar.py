@@ -2,8 +2,10 @@
 
 The calendar is a binary heap on the ``(time, priority, seq)`` key;
 ``tests/sim/test_properties.py`` checks its pop order against a sorted
-oracle over generated schedules, and the test below pins the explicit
-same-instant priority order.
+oracle over generated schedules pushed through ``Environment._schedule``.
+The tests below drive the public ``timeout``/``cancel``/``reschedule``
+path (``Timeout`` pushes onto the heap inline) over fixed seeded
+schedules, and pin the explicit same-instant priority order.
 
 Compaction: lazy deletion leaves dead entries in the calendar; the
 kernel compacts whenever more than half of a non-trivial queue is dead,
@@ -12,8 +14,83 @@ completion on every perturbation) cannot grow the calendar without
 bound.
 """
 
+import random
+
+import pytest
+
 from repro.sim import Environment, EventPriority
 from repro.sim.core import _COMPACT_MIN
+
+
+def _timeout_schedule(env, delays):
+    """Schedule one tagged timeout per delay; return (events, pop log)."""
+    log = []
+    events = []
+    for i, delay in enumerate(delays):
+        ev = env.timeout(delay, value=i)
+        ev.callbacks.append(lambda e: log.append((e.env.now, e._value)))
+        events.append(ev)
+    return events, log
+
+
+@pytest.mark.parametrize("seed", [42, 7, 2024])
+def test_timeouts_pop_in_time_then_insertion_order(seed):
+    """Timeouts fire by time, same-instant ones in creation order."""
+    rng = random.Random(seed)
+    delays = [
+        rng.choice([0.0, 0.25, 1.0, rng.random() * 20]) for _ in range(500)
+    ]
+    env = Environment()
+    _, log = _timeout_schedule(env, delays)
+    env.run()
+    assert log == sorted((delay, i) for i, delay in enumerate(delays))
+
+
+def test_cancel_and_reschedule_churn_through_public_api():
+    """Cancelled timeouts never fire; rescheduled ones fire at their new
+    time, ordered after every entry scheduled before the reschedule."""
+    env = Environment()
+    rng = random.Random(7)
+    delays = [rng.random() * 10 for _ in range(300)]
+    events, log = _timeout_schedule(env, delays)
+    # Oracle key per live timeout: (fire time, order of its last push).
+    live = {i: (delay, i) for i, delay in enumerate(delays)}
+    pushes = len(delays)
+    for i in range(0, 300, 3):
+        env.cancel(events[i])
+        del live[i]
+    for i in range(1, 300, 3):
+        delay = rng.random() * 5
+        env.reschedule(events[i], delay)
+        live[i] = (delay, pushes)
+        pushes += 1
+    env.run()
+    assert len(log) == 200
+    assert log == [(live[i][0], i) for i in sorted(live, key=live.get)]
+    assert all(not events[i].processed for i in range(0, 300, 3))
+
+
+def test_infinite_delay_stays_queued():
+    """An inf-delay timeout is accepted and never fires before ``until``."""
+    env = Environment()
+    never = env.timeout(float("inf"), value="never")
+    soon = env.timeout(1.0, value="soon")
+    fired = []
+    soon.callbacks.append(lambda e: fired.append(e._value))
+    env.run(until=10.0)
+    assert fired == ["soon"]
+    assert env.now == 10.0
+    assert not never.processed
+    assert env.queued == 1  # the inf entry is still held
+
+
+def test_environment_takes_only_initial_time():
+    """The heap is the only calendar: no backend selection remains."""
+    assert Environment(initial_time=5.0).now == 5.0
+    with pytest.raises(TypeError):
+        Environment(queue="bucket")
+    with pytest.raises(TypeError):
+        Environment(bucket_width=1.0)
 
 
 def test_priority_ties_at_same_timestamp():

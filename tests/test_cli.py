@@ -311,6 +311,13 @@ class TestWorkloadFlags:
         assert "open loop" in capsys.readouterr().out
 
 
+def _trace_out(command, tmp_path):
+    """Keep ``trace`` from writing its default ``trace.json`` in cwd."""
+    if command == "trace":
+        return ["--out", str(tmp_path / "trace.json")]
+    return []
+
+
 class TestScenarioFlags:
     def test_scenarios_lists_registry(self, capsys):
         assert main(["scenarios"]) == 0
@@ -442,11 +449,57 @@ class TestScenarioFlags:
         doc["n_nodes"] = "4"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        trace_out = ["--out", str(tmp_path / "trace.json")]
-        extra = trace_out if argv[0] == "trace" else []
+        extra = _trace_out(argv[0], tmp_path)
         rc = main(argv[:1] + ["--spec", str(path)] + argv[1:] + extra)
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--set", "seed=1", "--quick"],
+            ["trace", "--quick"],
+            ["analyze", "--quick"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_spec_file_exits_2(self, capsys, tmp_path, argv):
+        """An unreadable ``--spec`` path is an error line, exit 2."""
+        missing = str(tmp_path / "absent.json")
+        extra = _trace_out(argv[0], tmp_path)
+        rc = main(argv[:1] + ["--spec", missing] + argv[1:] + extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "absent.json" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--set", "seed=1", "--quick"],
+            ["trace", "--quick"],
+            ["analyze", "--quick"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_spec_failing_validation_exits_2(self, capsys, tmp_path, argv):
+        """A well-typed spec that ``validate()`` rejects exits 2 the same
+        way under every spec-taking subcommand, not only ``run``."""
+        path = tmp_path / "bad.json"
+        path.write_text('{"surface": "workflow", "admission": "unbounded"}')
+        extra = _trace_out(argv[0], tmp_path)
+        rc = main(argv[:1] + ["--spec", str(path)] + argv[1:] + extra)
+        assert rc == 2
+        assert "workload-surface" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["trace", "analyze"])
+    def test_unknown_named_scenario_exits_2(self, capsys, tmp_path, command):
+        """The positional scenario name goes through the same loader as
+        ``sweep --scenario``: an unknown name is exit 2, not a KeyError."""
+        extra = _trace_out(command, tmp_path)
+        rc = main([command, "nope", "--quick"] + extra)
+        assert rc == 2
+        assert "unknown scenario" in capsys.readouterr().err
 
     def test_runtime_value_error_reported_cleanly(self, capsys, tmp_path):
         """A spec that validates but cannot run (1-node synthetic
