@@ -28,7 +28,9 @@
 #      zero-overhead guard (docs/observability.md);
 #   4. a trace smoke: a quick fully-traced scenario must export valid,
 #      non-empty Chrome trace-event JSON covering the kernel, network,
-#      scheduler and span layers;
+#      scheduler and span layers, and its trace store must be
+#      consistent (one Chrome instant record per retained event; the
+#      per-category counts sum to events + spans + dropped);
 #   5. an analyze smoke: repro.cli analyze on the SLO-bearing registry
 #      scenario must render an observed-critical-path section and an
 #      SLO verdict line (docs/observability.md);
@@ -105,6 +107,24 @@ assert events, "empty Chrome trace"
 cats = {e.get("cat") for e in events}
 missing = {"kernel", "network", "scheduler", "span"} - cats
 assert not missing, f"trace missing categories: {sorted(missing)}"
+PY
+# Trace-store consistency: the columnar event view must yield each
+# retained event exactly once, and the derived per-category counts
+# must cover every retained event and span plus the dropped ones.
+python - <<'PY'
+from repro.obs import chrome_trace_doc
+from repro.scenario import ObservabilitySpec, get_scenario
+
+spec = get_scenario("fanout_bandwidth_aware").replace(
+    observability=ObservabilitySpec(enabled=True)
+)
+tracer = spec.run(quick=True).tracer
+instants = [e for e in chrome_trace_doc(tracer)["traceEvents"] if e["ph"] == "i"]
+assert tracer.events and len(instants) == len(tracer.events), (
+    len(instants), len(tracer.events))
+assert sum(tracer.counts.values()) == (
+    len(tracer.events) + len(tracer.spans) + tracer.dropped
+), (tracer.counts, len(tracer.events), len(tracer.spans), tracer.dropped)
 PY
 
 # Analyze smoke: the trace-analysis plane must turn a quick traced

@@ -207,8 +207,10 @@ def concurrency_profile(
     for s, e in intervals:
         if e < s:
             s, e = e, s
-        deltas.append((min(max(s, start), end), 1))
-        deltas.append((min(max(e, start), end), -1))
+        s = start if s < start else end if s > end else s
+        e = start if e < start else end if e > end else e
+        deltas.append((s, 1))
+        deltas.append((e, -1))
     deltas.sort()
     series: List[Tuple[float, int]] = []
     level = 0
@@ -223,7 +225,8 @@ def concurrency_profile(
                 busy += t - prev_t
             prev_t = t
         level += d
-        peak = max(peak, level)
+        if level > peak:
+            peak = level
         if series and series[-1][0] == t:
             series[-1] = (t, level)
         else:
@@ -423,17 +426,31 @@ def analyze_tracer(tracer) -> RunAnalysis:
     else:
         window = (0.0, 0.0)
 
-    # Workload correlation: submit times and admission waits by run tag.
+    # One pass over the events: workload correlation (submit times and
+    # admission waits by run tag) and registry slot-wait pressure by
+    # site (queueing at saturated registry instances; uncorrelated with
+    # tasks by design).
     submit_ts: Dict[str, float] = {}
     admit_wait: Dict[str, float] = {}
+    registry_wait: Dict[str, Dict[str, float]] = {}
     for ts, cat, name, args in tracer.events:
-        if cat != "workload" or not args:
+        if not args:
             continue
-        run = str(args.get("run", ""))
-        if name == "submit":
-            submit_ts.setdefault(run, ts)
-        elif name == "admit":
-            admit_wait[run] = float(args.get("wait", 0.0))
+        if cat == "workload":
+            run = str(args.get("run", ""))
+            if name == "submit":
+                submit_ts.setdefault(run, ts)
+            elif name == "admit":
+                admit_wait[run] = float(args.get("wait", 0.0))
+        elif cat == "registry" and name == "slot_wait":
+            site = str(args.get("site", ""))
+            wait = float(args.get("wait", 0.0))
+            entry = registry_wait.setdefault(
+                site, {"total_s": 0.0, "count": 0, "max_s": 0.0}
+            )
+            entry["total_s"] += wait
+            entry["count"] += 1
+            entry["max_s"] = max(entry["max_s"], wait)
 
     groups: Dict[str, list] = {}
     for s in task_spans:
@@ -505,21 +522,6 @@ def analyze_tracer(tracer) -> RunAnalysis:
             bytes=link_bytes[key],
             series=series,
         )
-
-    # Registry slot-wait pressure by site (queueing at saturated
-    # registry instances; uncorrelated with tasks by design).
-    registry_wait: Dict[str, Dict[str, float]] = {}
-    for ts, cat, name, args in tracer.events:
-        if cat != "registry" or name != "slot_wait" or not args:
-            continue
-        site = str(args.get("site", ""))
-        wait = float(args.get("wait", 0.0))
-        entry = registry_wait.setdefault(
-            site, {"total_s": 0.0, "count": 0, "max_s": 0.0}
-        )
-        entry["total_s"] += wait
-        entry["count"] += 1
-        entry["max_s"] = max(entry["max_s"], wait)
 
     return RunAnalysis(
         workflows=workflows,

@@ -157,6 +157,14 @@ class P2Quantile:
         return self._count
 
 
+def _interpolate(vs: List[float], q: float) -> float:
+    """The q-th percentile of the sorted non-empty ``vs`` (linear)."""
+    rank = (len(vs) - 1) * q / 100.0
+    lo = int(math.floor(rank))
+    hi = min(lo + 1, len(vs) - 1)
+    return vs[lo] + (rank - lo) * (vs[hi] - vs[lo])
+
+
 class ReservoirHistogram:
     """Bounded uniform-sample histogram with deterministic replacement.
 
@@ -222,24 +230,24 @@ class ReservoirHistogram:
             raise ValueError(f"q must be in [0, 100], got {q}")
         if not self._samples:
             return 0.0
-        vs = sorted(self._samples)
-        rank = (len(vs) - 1) * q / 100.0
-        lo = int(math.floor(rank))
-        hi = min(lo + 1, len(vs) - 1)
-        return vs[lo] + (rank - lo) * (vs[hi] - vs[lo])
+        return _interpolate(sorted(self._samples), q)
 
     def mean(self) -> float:
         return self.sum / self.n if self.n else 0.0
 
     def export(self) -> Dict[str, float]:
+        vs = sorted(self._samples)  # sort once for all three quantiles
+        p50, p90, p99 = (
+            _interpolate(vs, q) if vs else 0.0 for q in (50, 90, 99)
+        )
         return {
             "count": float(self.n),
             "mean": self.mean(),
             "min": self.min if self.n else 0.0,
             "max": self.max if self.n else 0.0,
-            "p50": self.quantile(50),
-            "p90": self.quantile(90),
-            "p99": self.quantile(99),
+            "p50": p50,
+            "p90": p90,
+            "p99": p99,
         }
 
     def __len__(self) -> int:
@@ -269,7 +277,9 @@ class MetricsRegistry:
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, ReservoirHistogram] = {}
         self.series: List[Tuple[float, Dict[str, float]]] = []
-        self._last: Optional[float] = None
+        # -inf: the first gate check always samples.  Tracer.emit and
+        # Tracer.span inline the maybe_sample gate on this field.
+        self._last = -math.inf
 
     # -- instrument factories (get-or-create) ---------------------------------------
 
@@ -296,13 +306,16 @@ class MetricsRegistry:
     # -- time-series sampling -------------------------------------------------------
 
     def maybe_sample(self, now: float) -> None:
-        if self._last is not None and now - self._last < self.sample_interval:
+        if now - self._last < self.sample_interval:
             return
         self.sample(now)
 
     def sample(self, now: float, force: bool = False) -> None:
         """Append one snapshot; ``force`` ignores the interval gate."""
         if not force and len(self.series) >= self._MAX_SAMPLES:
+            # Advance the gate anyway, or every later emission at the
+            # cap would pass it and land here again.
+            self._last = now
             return
         snap = {name: c.value for name, c in self.counters.items()}
         for name, g in self.gauges.items():

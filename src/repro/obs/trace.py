@@ -20,10 +20,18 @@ never schedules simulation events, so enabling it cannot perturb a run.
 
 Event volume is bounded by ``max_events``; beyond the cap events and
 spans are counted (``dropped``) but not retained.
+
+Retained events live in four parallel column lists (ts, category,
+name, args) rather than one tuple per event: CPython never untracks a
+tuple that holds a dict, so a tuple store would leave every event in
+the cyclic GC's generations, while the columns are a handful of lists.
+``Tracer.events`` is a read-only view yielding the same tuples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
@@ -115,6 +123,31 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+class _EventView(Sequence):
+    """Read-only ``(ts, cat, name, args)`` rows over a tracer's columns.
+
+    Supports ``len``, iteration, indexing and slicing (a slice is a
+    list of row tuples); rows are rebuilt on access, so the retained
+    trace itself holds no per-event tuple.
+    """
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, cols: Tuple[list, list, list, list]):
+        self._cols = cols
+
+    def __len__(self) -> int:
+        return len(self._cols[0])
+
+    def __iter__(self):
+        return zip(*self._cols)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(zip(*(col[i] for col in self._cols)))
+        return tuple([col[i] for col in self._cols])
+
+
 class Tracer:
     """Collects events and spans from an instrumented simulation.
 
@@ -145,16 +178,32 @@ class Tracer:
         self._cats = frozenset(
             TRACE_CATEGORIES if categories is None else categories
         )
-        self.events: List[Tuple[float, str, str, Optional[dict]]] = []
+        # Live categories in first-emission order: the emit gate and
+        # the key order of ``counts``.
+        self._seen: Dict[str, None] = {}
+        self._cols: Tuple[list, list, list, list] = ([], [], [], [])
+        self.events = _EventView(self._cols)
         self.spans: List[Span] = []
-        self.counts: Dict[str, int] = {}
-        self.dropped = 0
+        self._dropped: Dict[str, int] = {}
         self._budget = max_events
         self._next_span_id = 0
         self.metrics = MetricsRegistry(
             sample_interval=sample_interval,
             histogram_capacity=histogram_capacity,
         )
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        """Events and spans emitted per category, retained or dropped."""
+        kept = Counter(self._cols[1])
+        kept.update(s.cat for s in self.spans)
+        dropped = self._dropped
+        return {c: kept[c] + dropped.get(c, 0) for c in self._seen}
+
+    @property
+    def dropped(self) -> int:
+        """Events and spans emitted past the ``max_events`` budget."""
+        return sum(self._dropped.values())
 
     # -- emission -----------------------------------------------------------------
 
@@ -164,16 +213,23 @@ class Tracer:
 
     def emit(self, cat: str, name: str, **args: object) -> None:
         """Record one point event at the current simulated time."""
-        if cat not in self._cats:
-            return
-        self.counts[cat] = self.counts.get(cat, 0) + 1
+        if cat not in self._seen:
+            if cat not in self._cats:
+                return
+            self._seen[cat] = None
         now = self._env.now
         if self._budget > 0:
             self._budget -= 1
-            self.events.append((now, cat, name, args or None))
+            ts, cats, names, argss = self._cols
+            ts.append(now)
+            cats.append(cat)
+            names.append(name)
+            argss.append(args or None)
         else:
-            self.dropped += 1
-        self.metrics.maybe_sample(now)
+            self._dropped[cat] = self._dropped.get(cat, 0) + 1
+        metrics = self.metrics  # inlined MetricsRegistry.maybe_sample
+        if not now - metrics._last < metrics.sample_interval:
+            metrics.sample(now)
 
     def span(self, name: str, cat: str = "span", parent=None, **args) -> Span:
         """Open a span at ``env.now``; close with ``finish()``/``with``.
@@ -183,19 +239,23 @@ class Tracer:
         processes interleave at every yield, so parentage must be
         threaded explicitly by the instrumented code.
         """
-        if cat not in self._cats:
-            return NULL_SPAN
-        self.counts[cat] = self.counts.get(cat, 0) + 1
+        if cat not in self._seen:
+            if cat not in self._cats:
+                return NULL_SPAN
+            self._seen[cat] = None
         parent_id = parent.id if isinstance(parent, Span) else parent
         sid = self._next_span_id
         self._next_span_id += 1
-        span = Span(self, sid, name, cat, parent_id, self._env.now, args)
+        now = self._env.now
+        span = Span(self, sid, name, cat, parent_id, now, args)
         if self._budget > 0:
             self._budget -= 1
             self.spans.append(span)
         else:
-            self.dropped += 1
-        self.metrics.maybe_sample(span.start)
+            self._dropped[cat] = self._dropped.get(cat, 0) + 1
+        metrics = self.metrics  # inlined MetricsRegistry.maybe_sample
+        if not now - metrics._last < metrics.sample_interval:
+            metrics.sample(now)
         return span
 
     # -- export -------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Unit tests for the metrics plane: counters, gauges, sketches."""
 
+import math
+import types
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.obs import MetricsRegistry, P2Quantile, ReservoirHistogram
+from repro.obs import MetricsRegistry, P2Quantile, ReservoirHistogram, Tracer
 
 
 class TestCounterGauge:
@@ -98,6 +102,18 @@ class TestReservoirHistogram:
         assert doc["count"] == 2.0
         assert doc["p50"] == 2.0
 
+    def test_export_quantiles_equal_separate_quantile_calls(self):
+        """export() sorts the reservoir once; its quantiles must be the
+        exact floats three separate quantile() calls return."""
+        h = ReservoirHistogram("past-capacity", capacity=64)
+        for i in range(5_000):
+            h.add(((i * 7919) % 1009) / 7.0)
+        assert h.n > h.capacity
+        doc = h.export()
+        assert (doc["p50"], doc["p90"], doc["p99"]) == (
+            h.quantile(50), h.quantile(90), h.quantile(99),
+        )
+
 
 class TestP2Quantile:
     def test_exact_under_five_samples(self):
@@ -153,6 +169,30 @@ class TestMetricsRegistry:
         for i in range(10):
             reg.maybe_sample(float(i))
         assert len(reg.series) == 5
+
+    def test_series_cap_does_not_reopen_the_gate(self, monkeypatch):
+        """At the series cap a gated sample() appends nothing but must
+        still advance the gate, or every later emission calls it."""
+        monkeypatch.setattr(MetricsRegistry, "_MAX_SAMPLES", 3)
+        env = types.SimpleNamespace(now=0.0)
+        tracer = Tracer(env, sample_interval=1.0)
+        reg = tracer.metrics
+        for t in (-3.0, -2.0, -1.0):
+            reg.sample(t, force=True)  # fill the series to the cap
+        calls = []
+        real_sample = reg.sample
+
+        def spy(now, force=False):
+            calls.append(now)
+            real_sample(now, force)
+
+        monkeypatch.setattr(reg, "sample", spy)
+        for i in range(1_000):
+            env.now = i * 0.001
+            tracer.emit("kernel", "pop")
+        assert len(reg.series) == 3
+        per_second = Counter(math.floor(t) for t in calls)
+        assert calls and max(per_second.values()) == 1
 
     def test_export_structure(self):
         reg = MetricsRegistry()

@@ -1,6 +1,7 @@
 """Exporter contracts: every event shape survives JSONL, Chrome lanes
 are named, and the trace CLI rejects malformed category selections."""
 
+import hashlib
 import json
 
 import pytest
@@ -62,6 +63,39 @@ class TestJsonlRoundTrip:
             if rec.get("ph") == "span":
                 assert rec["dur"] >= 0
                 assert rec["id"] >= 0
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestOutputIdentityGolden:
+    """The trace exports of a quick, fully traced ``multi_tenant_slo``
+    run, pinned byte for byte.  The digests were recorded when the
+    tracer kept one ``(ts, cat, name, args)`` tuple per event; the
+    columnar store must reproduce every export exactly."""
+
+    JSONL = "3c5d000e3734a99097d132a60fcaa28a15fff32e43b3a6c3af5740bd1105ccc7"
+    CHROME = "f3eb50866d4aae2a7ed3afb07a73c9fb6eeb7b75675789730f4542485c9d4157"
+    EXPORT = "b9b9aa0b38c62cec176ca3d75bd2f8b3aec2d0b0b1df7c2d5c1775f2356fe31a"
+
+    @pytest.fixture(scope="class")
+    def tracer(self):
+        spec = get_scenario("multi_tenant_slo").replace(
+            observability=ObservabilitySpec(enabled=True)
+        )
+        return spec.run(quick=True).tracer
+
+    def test_jsonl_digest(self, tracer):
+        assert _sha256("\n".join(events_jsonl(tracer))) == self.JSONL
+
+    def test_chrome_digest(self, tracer):
+        assert _sha256(json.dumps(chrome_trace_doc(tracer))) == self.CHROME
+
+    def test_export_digest(self, tracer):
+        # export() takes a forced metrics sample, so it runs once here.
+        doc = tracer.export()
+        assert _sha256(json.dumps(doc, sort_keys=True)) == self.EXPORT
 
 
 class TestChromeLaneMetadata:

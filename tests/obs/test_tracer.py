@@ -1,5 +1,7 @@
 """Unit tests for the tracer core: events, spans, the null fast path."""
 
+import gc
+
 import pytest
 
 from repro.obs import NULL_TRACER, TRACE_CATEGORIES, Tracer
@@ -134,3 +136,78 @@ class TestTracer:
         env.tracer.emit("workload", "submit")
         env.tracer.span("task")
         assert env.queued == 0
+
+
+class TestColumnarEventStore:
+    """``Tracer.events`` is a read-only view over column lists."""
+
+    def make_tracer(self):
+        env = make_env()
+        tracer = Tracer(env)
+        tracer.emit("kernel", "pop", depth=1)
+        Timeout(env, 1.5)
+        env.run()
+        tracer.emit("network", "rpc", src="a", dst="b")
+        tracer.emit("workload", "submit")
+        return tracer
+
+    def test_view_rows(self):
+        tracer = self.make_tracer()
+        rows = [
+            (0.0, "kernel", "pop", {"depth": 1}),
+            (1.5, "network", "rpc", {"src": "a", "dst": "b"}),
+            (1.5, "workload", "submit", None),
+        ]
+        events = tracer.events
+        assert len(events) == 3
+        assert list(events) == rows
+        assert [events[i] for i in range(3)] == rows
+        assert events[0] == rows[0]
+        assert events[-1] == rows[-1]
+        assert events[-2] == rows[-2]
+        assert events[-3] == rows[0]
+        assert events[1:] == rows[1:]
+        assert events[::-1] == rows[::-1]
+        assert events[:0] == []
+        with pytest.raises(IndexError):
+            events[3]
+
+    def test_view_is_read_only(self):
+        tracer = self.make_tracer()
+        with pytest.raises(TypeError):
+            tracer.events[0] = (0.0, "kernel", "pop", None)
+        assert not hasattr(tracer.events, "append")
+
+    def test_counts_with_exhausted_budget_include_dropped_spans(self):
+        tracer = Tracer(make_env(), max_events=3)
+        tracer.emit("kernel", "pop")
+        tracer.span("task").finish()
+        tracer.emit("network", "rpc")
+        # Budget exhausted: everything below is counted, not retained.
+        tracer.emit("kernel", "pop")
+        tracer.span("task").finish()
+        tracer.span("rpc", cat="network").finish()
+        tracer.emit("registry", "op")
+        assert len(tracer.events) == 2
+        assert len(tracer.spans) == 1
+        assert tracer.dropped == 4
+        assert tracer.counts == {
+            "kernel": 2, "span": 2, "network": 2, "registry": 1,
+        }
+        assert list(tracer.counts) == ["kernel", "span", "network", "registry"]
+        assert sum(tracer.counts.values()) == (
+            len(tracer.events) + len(tracer.spans) + tracer.dropped
+        )
+
+    def test_retained_events_stay_out_of_the_cyclic_gc(self):
+        """CPython never untracks a tuple holding a dict; the columnar
+        store must keep 20k retained events from adding ~20k tracked
+        objects to the collector's generations."""
+        tracer = Tracer(make_env())
+        gc.collect()
+        before = len(gc.get_objects())
+        for i in range(20_000):
+            tracer.emit("kernel", "pop", depth=i, t=0.5, tag="x")
+        added = len(gc.get_objects()) - before
+        assert len(tracer.events) == 20_000
+        assert added < 100
