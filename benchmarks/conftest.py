@@ -8,7 +8,10 @@ and prints the paper-vs-measured report.  Run with::
 Workload sizes are moderated relative to the paper's exact parameters
 (documented per bench) so the whole suite completes in minutes; the
 experiment modules default to the full paper parameters for standalone
-use (``python -m repro.experiments.runner``).
+use; ``python -m repro.cli figures`` regenerates every figure
+(``--quick`` for CI sizes, ``--set network.bandwidth_model=fair`` or
+``--set scheduler.name=...`` for a non-default WAN model or
+placement policy).
 """
 
 import pytest

@@ -14,8 +14,10 @@
 #      (benchmarks/test_schedulers.py, benchmarks/test_workloads.py)
 #      run in the FULL profile; the benchmark harness's own tests
 #      (perfbench/tests) run in both profiles;
-#   2. a --dump-spec smoke run (flags must keep compiling to a valid
-#      JSON scenario artifact);
+#   2. a spec round trip: run paper_default with a --set override
+#      dumps a JSON spec that run --spec accepts and runs, and a spec
+#      with a fractional n_nodes must fail validation with exit 2
+#      (not a traceback);
 #   3. the parallel experiment plane: a --jobs 2 sweep persisted to a
 #      result store, the serial twin, a store diff between them (must
 #      pair every artifact), and a quick BENCH trajectory run
@@ -53,10 +55,19 @@ if [ "${FULL:-0}" = "1" ]; then
 else
     python -m pytest -x -q -m "not slow" tests benchmarks perfbench/tests
 fi
-python -m repro.cli run --workflow montage --dump-spec - > /dev/null
 
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
+python -m repro.cli run paper_default --set ops_per_task=2 \
+    --dump-spec "$TMP/spec.json" > /dev/null
+python -m repro.cli run --spec "$TMP/spec.json" > /dev/null
+echo '{"surface": "workflow", "n_nodes": 4.5}' > "$TMP/frac.json"
+status=0
+python -m repro.cli run --spec "$TMP/frac.json" 2> /dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "check: mistyped spec exited $status, expected 2" >&2
+    exit 1
+fi
 python -m repro.cli sweep --scenario paper_synthetic \
     --set "strategy.name=centralized,hybrid" --quick \
     --jobs 2 --out "$TMP/par" > /dev/null

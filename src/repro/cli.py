@@ -2,16 +2,17 @@
 
 ::
 
-    python -m repro.cli figures [--quick] [--only fig7]
+    python -m repro.cli figures --quick --only fig7
+    python -m repro.cli figures --quick --set network.bandwidth_model=fair
     python -m repro.cli sweep --scenario paper_synthetic --set strategy.name=dr --set n_nodes=32
     python -m repro.cli advise --workflow montage --ops 1000
     python -m repro.cli advise --file my_workflow.json
-    python -m repro.cli run --workflow montage --strategy dr --export out.json
-    python -m repro.cli run --workflow montage --tenants 8 --admission max_in_flight --max-in-flight 4
-    python -m repro.cli run --workflow montage --dump-spec scenario.json
+    python -m repro.cli run paper_default --set strategy.name=dr --export out.json
+    python -m repro.cli run multi_tenant_8 --set max_in_flight=2 --quick
+    python -m repro.cli run paper_default --set ops_per_task=2 --dump-spec scenario.json
     python -m repro.cli run --spec scenario.json
     python -m repro.cli trace fanout_bandwidth_aware --quick --out trace.json
-    python -m repro.cli run --workflow montage --tenants 4 --metrics
+    python -m repro.cli run multi_tenant_8 --quick --metrics
     python -m repro.cli sweep --scenario paper_synthetic --set "strategy.name=centralized,hybrid"
     python -m repro.cli sweep --scenario paper_synthetic --set "seed=0,1,2,3" --jobs 4 --out runs/
     python -m repro.cli results runs/
@@ -20,9 +21,12 @@
     python -m repro.cli strategies
     python -m repro.cli workloads
 
-Every ``run`` invocation compiles its flags into a declarative
-``repro.scenario.ScenarioSpec`` first; ``--dump-spec`` writes that spec
-as a JSON artifact and ``--spec`` replays one (see ``docs/scenarios.md``).
+``run``, ``trace`` and ``analyze`` share one target grammar: a named
+scenario (``repro.cli scenarios``) or ``--spec FILE``, any number of
+``--set dotted.path=value`` overrides (one value each; ``sweep`` takes
+comma lists), and ``--quick``.  The target is always one validated
+``repro.scenario.ScenarioSpec``; ``run --dump-spec`` writes it as JSON
+and ``--spec`` replays it (see ``docs/scenarios.md``).
 """
 
 from __future__ import annotations
@@ -49,11 +53,8 @@ from repro.metadata.controller import STRATEGIES, StrategyName
 from repro.scenario import (
     SCENARIOS,
     WORKFLOW_BUILDERS,
-    ElasticitySpec,
     ObservabilitySpec,
     ScenarioSpec,
-    SchedulerSpec,
-    StrategySpec,
     get_scenario,
     run_sweep,
 )
@@ -63,41 +64,48 @@ from repro.workload import (
     ADMISSION_NAMES,
     APPLICATION_NAMES,
     APPLICATIONS,
-    WorkloadSpec,
 )
 from repro.workflow.serialization import load_workflow
 from repro.workflow.traces import characterize
 
 __all__ = ["main", "build_parser"]
 
+#: Figure name -> ``(quick, config) -> result``.  ``config`` is the
+#: ``MetadataConfig`` compiled from ``figures --set``; fig1 and fig3
+#: probe fixed configurations of their own and do not take it.
 FIGURES = {
-    "fig1": lambda quick: run_fig1(
+    "fig1": lambda quick, config: run_fig1(
         file_counts=(100, 500, 1000) if quick else (100, 500, 1000, 5000)
     ),
-    "fig3": lambda quick: run_fig3(),
-    "fig5": lambda quick: run_fig5(
+    "fig3": lambda quick, config: run_fig3(),
+    "fig5": lambda quick, config: run_fig5(
         ops_per_node=(100, 250, 500, 1000) if quick else (500, 1000, 5000, 10000),
         n_nodes=32,
+        config=config,
     ),
-    "fig6": lambda quick: run_fig6(
-        n_nodes=32, ops_per_node=1500 if quick else 5000
+    "fig6": lambda quick, config: run_fig6(
+        n_nodes=32, ops_per_node=1500 if quick else 5000, config=config
     ),
-    "fig7": lambda quick: run_fig7(
+    "fig7": lambda quick, config: run_fig7(
         node_counts=(8, 16, 32, 64) if quick else (8, 16, 32, 64, 128),
         ops_per_node=500 if quick else 5000,
+        config=config,
     ),
-    "fig8": lambda quick: run_fig8(
+    "fig8": lambda quick, config: run_fig8(
         node_counts=(8, 16, 32, 64) if quick else (8, 16, 32, 64, 128),
         total_ops=8000 if quick else 32000,
+        config=config,
     ),
-    "fig10": lambda quick: run_fig10(
-        scenarios=("SS", "MI") if quick else ("SS", "CI", "MI")
+    "fig10": lambda quick, config: run_fig10(
+        scenarios=("SS", "MI") if quick else ("SS", "CI", "MI"),
+        config=config,
     ),
 }
 
-#: The workflow-surface applications (one shared name -> builder map,
-#: see ``repro.scenario.spec.WORKFLOW_BUILDERS``).
-WORKFLOWS = WORKFLOW_BUILDERS
+#: The spec paths ``figures --set`` accepts: the WAN model and the
+#: placement policy, the axes every figure's ``config`` carries.
+#: ``scheduler.input_site`` is a per-scenario knob no figure reads.
+_FIGURE_SET_PREFIXES = ("network.", "scheduler.")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,42 +124,72 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(FIGURES),
         help="run a single figure instead of all",
     )
+    figs.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="PATH=VALUE",
+        help=(
+            "run the figures under a network.* or scheduler.* spec "
+            "override, e.g. --set network.bandwidth_model=fair "
+            "(repeatable; fig1 and fig3 probe fixed configurations)"
+        ),
+    )
 
     adv = sub.add_parser(
         "advise", help="characterize a workflow and recommend a strategy"
     )
     target = adv.add_mutually_exclusive_group(required=True)
-    target.add_argument("--workflow", choices=sorted(WORKFLOWS))
+    target.add_argument("--workflow", choices=sorted(WORKFLOW_BUILDERS))
     target.add_argument("--file", help="path to a workflow JSON document")
     adv.add_argument("--ops", type=int, default=1000)
     adv.add_argument("--nodes", type=int, default=32)
 
-    runp = sub.add_parser(
-        "run", help="execute a workflow under a strategy and report"
+    # The one target grammar of run/trace/analyze: a named scenario or
+    # a spec file, single-valued --set overrides, and --quick.
+    spec_target = argparse.ArgumentParser(add_help=False)
+    spec_target.add_argument(
+        "scenario",
+        nargs="?",
+        help="named scenario (repro.cli scenarios)",
     )
-    rtarget = runp.add_mutually_exclusive_group(required=True)
-    rtarget.add_argument("--workflow", choices=sorted(WORKFLOWS))
-    rtarget.add_argument("--file", help="path to a workflow JSON document")
-    rtarget.add_argument(
+    spec_target.add_argument(
         "--spec",
         metavar="FILE",
+        help="a scenario spec file (JSON) instead of a named scenario",
+    )
+    spec_target.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="PATH=VALUE",
         help=(
-            "run a declarative scenario spec (JSON, as written by "
-            "--dump-spec or repro.scenario); replaces the direct flags"
+            "override one spec field by dotted path, e.g. --set "
+            "strategy.name=dr or --set elasticity.enabled=true "
+            "(repeatable; see docs/scenarios.md)"
         ),
+    )
+    spec_target.add_argument(
+        "--quick",
+        action="store_true",
+        help="use the CI-sized variant of the scenario",
+    )
+
+    runp = sub.add_parser(
+        "run",
+        parents=[spec_target],
+        help="run one scenario and print its report",
     )
     runp.add_argument(
         "--dump-spec",
         metavar="PATH",
         help=(
-            "compile the flags into a scenario spec, write it as JSON "
-            "('-' for stdout) and exit without running"
+            "write the scenario spec (after --set) as JSON ('-' for "
+            "stdout) and exit without running"
         ),
     )
-    runp.add_argument("--strategy", default="hybrid")
-    runp.add_argument("--nodes", type=int, default=32)
-    runp.add_argument("--ops", type=int, default=100)
-    runp.add_argument("--seed", type=int, default=7)
     runp.add_argument(
         "--export",
         metavar="PATH",
@@ -161,190 +199,22 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     runp.add_argument(
-        "--scheduler",
-        choices=SCHEDULER_NAMES,
-        default=None,
-        help=(
-            "task-placement policy (default: locality, the paper's "
-            "heuristic); see docs/scheduling.md"
-        ),
-    )
-    runp.add_argument(
-        "--hybrid-locality-weight",
-        type=float,
-        default=1.0,
-        help="hybrid scheduler only: locality-term coefficient",
-    )
-    runp.add_argument(
-        "--hybrid-load-weight",
-        type=float,
-        default=1.0,
-        help="hybrid scheduler only: queue-depth-term coefficient",
-    )
-    runp.add_argument(
-        "--hybrid-transfer-weight",
-        type=float,
-        default=1.0,
-        help="hybrid scheduler only: transfer-time-term coefficient",
-    )
-    runp.add_argument(
-        "--bw-pending-penalty",
-        type=float,
-        default=1.0,
-        help=(
-            "bandwidth_aware/hybrid schedulers only: pending-bytes "
-            "staging pessimism (0 disables)"
-        ),
-    )
-    runp.add_argument(
-        "--tenants",
-        type=int,
-        default=1,
-        help=(
-            "run a multi-tenant workload: this many tenants submit the "
-            "workflow concurrently to one shared deployment (default 1: "
-            "single-workflow mode); see docs/workloads.md"
-        ),
-    )
-    runp.add_argument(
-        "--instances",
-        type=int,
-        default=1,
-        help="workload mode only: workflow instances per tenant",
-    )
-    runp.add_argument(
-        "--mode",
-        choices=("closed", "open"),
-        default="closed",
-        help=(
-            "workload mode only: closed loop (one in flight per tenant, "
-            "think time between) or open loop (Poisson arrivals)"
-        ),
-    )
-    runp.add_argument(
-        "--think-time",
-        type=float,
-        default=0.0,
-        help="closed-loop workloads only: seconds between submissions",
-    )
-    runp.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=None,
-        help="open-loop workloads only: Poisson arrivals per second",
-    )
-    runp.add_argument(
-        "--admission",
-        choices=ADMISSION_NAMES,
-        default=None,
-        help=(
-            "workload mode only: admission control policy "
-            "(default: unbounded)"
-        ),
-    )
-    runp.add_argument(
-        "--max-in-flight",
-        type=int,
-        default=None,
-        help=(
-            "admission max_in_flight only: global cap on concurrently "
-            "executing workflows"
-        ),
-    )
-    runp.add_argument(
-        "--token-rate",
-        type=float,
-        default=None,
-        help=(
-            "admission token_bucket only: per-tenant admissions/second"
-        ),
-    )
-    runp.add_argument(
-        "--token-burst",
-        type=int,
-        default=None,
-        help="admission token_bucket only: per-tenant burst allowance",
-    )
-    runp.add_argument(
-        "--elastic",
-        choices=ELASTICITY_NAMES,
-        default=None,
-        help=(
-            "enable the elastic provisioning control plane with this "
-            "policy (docs/elasticity.md); the fleet then starts at "
-            "--nodes and is resized at runtime"
-        ),
-    )
-    runp.add_argument(
-        "--elastic-min",
-        type=int,
-        default=1,
-        metavar="N",
-        help="elastic only: per-site fleet floor (default 1)",
-    )
-    runp.add_argument(
-        "--elastic-max",
-        type=int,
-        default=8,
-        metavar="N",
-        help="elastic only: per-site fleet ceiling (default 8)",
-    )
-    runp.add_argument(
-        "--elastic-lag",
-        type=float,
-        default=30.0,
-        metavar="S",
-        help=(
-            "elastic only: provisioning lag between ordering a VM and "
-            "it becoming placeable (default 30s)"
-        ),
-    )
-    runp.add_argument(
-        "--elastic-warmup",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help=(
-            "elastic only: warm-up window during which a fresh VM "
-            "computes degraded (default 0: none)"
-        ),
-    )
-    runp.add_argument(
-        "--elastic-interval",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="elastic only: control-loop sampling interval (default 5s)",
-    )
-    runp.add_argument(
         "--metrics",
         action="store_true",
         help=(
             "run with the metrics plane enabled and print counters and "
             "latency-sketch quantiles after the report "
-            "(docs/observability.md); composes with --spec"
+            "(docs/observability.md)"
         ),
-    )
-    _RUN_FLAG_DEFAULTS.update(
-        {name: runp.get_default(name) for name in _RUN_SPEC_CLASH_FLAGS}
     )
 
     tracep = sub.add_parser(
         "trace",
+        parents=[spec_target],
         help=(
             "run a scenario with full tracing and export a Chrome "
             "trace-event file (chrome://tracing, Perfetto)"
         ),
-    )
-    tracep.add_argument(
-        "scenario",
-        nargs="?",
-        help="named scenario to trace (repro.cli scenarios)",
-    )
-    tracep.add_argument(
-        "--spec",
-        metavar="FILE",
-        help="trace a scenario spec file instead of a named scenario",
     )
     tracep.add_argument(
         "--out",
@@ -366,29 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: all; see docs/observability.md)"
         ),
     )
-    tracep.add_argument(
-        "--quick",
-        action="store_true",
-        help="trace the CI-sized variant of the scenario",
-    )
 
     analyzep = sub.add_parser(
         "analyze",
+        parents=[spec_target],
         help=(
             "trace a scenario and report where the time went: observed "
             "critical path, attribution buckets, hottest site/link, "
             "SLO verdicts (docs/observability.md)"
         ),
-    )
-    analyzep.add_argument(
-        "scenario",
-        nargs="?",
-        help="named scenario to analyze (repro.cli scenarios)",
-    )
-    analyzep.add_argument(
-        "--spec",
-        metavar="FILE",
-        help="analyze a scenario spec file instead of a named scenario",
     )
     analyzep.add_argument(
         "--artifact",
@@ -397,11 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
             "render the report from a stored run artifact (must carry "
             "an 'analysis' or 'slo' block) instead of running anything"
         ),
-    )
-    analyzep.add_argument(
-        "--quick",
-        action="store_true",
-        help="analyze the CI-sized variant of the scenario",
     )
     analyzep.add_argument(
         "--out",
@@ -501,23 +352,71 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_workflow(args):
-    if getattr(args, "file", None):
-        return load_workflow(args.file)
-    return WORKFLOWS[args.workflow](ops_per_task=args.ops)
+def _parse_set(items, single: bool = False) -> dict:
+    """``--set PATH=VALUE`` items as ``{path: values}``.
+
+    Each value is a JSON scalar when it parses, else a string; a
+    comma-separated list gives a sweep axis.  With ``single`` every
+    path takes exactly one value and maps to it directly.
+    """
+    form = "dotted.path=value" if single else "dotted.path=v1,v2"
+    overrides = {}
+    for item in items:
+        path, eq, text = item.partition("=")
+        if not eq or not path:
+            raise ValueError(f"bad --set {item!r}; expected {form}")
+        values = tuple(_parse_value(v) for v in text.split(","))
+        if single and len(values) > 1:
+            raise ValueError(
+                f"--set {item!r} gives {len(values)} values; this "
+                "command takes one value per path (sweep a list with "
+                "repro.cli sweep --set PATH=V1,V2)"
+            )
+        overrides[path] = values[0] if single else values
+    return overrides
+
+
+def _parse_value(text: str):
+    """One override value: JSON scalar when it parses, else a string."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
 
 
 def _cmd_figures(args) -> int:
+    try:
+        overrides = _parse_set(args.overrides, single=True)
+        for path in overrides:
+            if (
+                not path.startswith(_FIGURE_SET_PREFIXES)
+                or path == "scheduler.input_site"
+            ):
+                raise ValueError(
+                    f"figures --set takes network.* and scheduler.* "
+                    f"paths only, got {path!r}"
+                )
+        config = None
+        if overrides:
+            spec = ScenarioSpec().replace(**overrides)
+            spec.validate()
+            config = spec.to_metadata_config()
+    except _SPEC_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     names = [args.only] if args.only else sorted(FIGURES)
     for name in names:
-        result = FIGURES[name](args.quick)
+        result = FIGURES[name](args.quick, config)
         print(f"\n=== {name} ===")
         print(result.render())
     return 0
 
 
 def _cmd_advise(args) -> int:
-    wf = _resolve_workflow(args)
+    if args.file:
+        wf = load_workflow(args.file)
+    else:
+        wf = WORKFLOW_BUILDERS[args.workflow](ops_per_task=args.ops)
     ch = characterize(wf)
     print(
         render_table(
@@ -543,182 +442,47 @@ def _cmd_advise(args) -> int:
     return 0
 
 
-#: ``run`` flags that ``--spec`` replaces; every one must be left at
-#: its parser default when a spec file is given (the spec is the
-#: single source of truth).  Defaults are captured from the parser
-#: itself in :func:`build_parser`, so they can never desync.
-_RUN_SPEC_CLASH_FLAGS = (
-    "strategy",
-    "nodes",
-    "ops",
-    "seed",
-    "scheduler",
-    "hybrid_locality_weight",
-    "hybrid_load_weight",
-    "hybrid_transfer_weight",
-    "bw_pending_penalty",
-    "tenants",
-    "instances",
-    "mode",
-    "think_time",
-    "arrival_rate",
-    "admission",
-    "max_in_flight",
-    "token_rate",
-    "token_burst",
-    "elastic",
-    "elastic_min",
-    "elastic_max",
-    "elastic_lag",
-    "elastic_warmup",
-    "elastic_interval",
-)
-_RUN_FLAG_DEFAULTS: dict = {}
-
-
-def _spec_from_run_args(args) -> ScenarioSpec:
-    """Compile ``run`` flags into a validated :class:`ScenarioSpec`.
-
-    This is the whole point of ``--dump-spec``: the spec *is* the
-    invocation, so any flag combination is reproducible from the JSON
-    artifact alone.
-    """
-    if args.tenants <= 0:
-        raise ValueError("--tenants must be positive")
-    if args.tenants > 1 and getattr(args, "file", None):
-        raise ValueError(
-            "--tenants applies to built-in applications only "
-            "(--workflow), not --file"
-        )
-    if args.tenants == 1 and (
-        args.admission is not None
-        or args.instances != 1
-        or args.mode != "closed"
-        or args.think_time != 0.0
-        or args.arrival_rate is not None
-    ):
-        # Mirrors the experiment runner's --with-workloads guard:
-        # silently running a single workflow would masquerade as an
-        # admission-controlled multi-tenant run.
-        raise ValueError(
-            "--admission/--instances/--mode/--think-time/"
-            "--arrival-rate require --tenants > 1"
-        )
-    if args.elastic is None and (
-        args.elastic_min != 1
-        or args.elastic_max != 8
-        or args.elastic_lag != 30.0
-        or args.elastic_warmup != 0.0
-        or args.elastic_interval != 5.0
-    ):
-        raise ValueError(
-            "--elastic-min/--elastic-max/--elastic-lag/--elastic-warmup/"
-            "--elastic-interval require --elastic POLICY"
-        )
-    elasticity = ElasticitySpec()
-    if args.elastic is not None:
-        elasticity = ElasticitySpec(
-            enabled=True,
-            policy=args.elastic,
-            interval_s=args.elastic_interval,
-            lag_s=args.elastic_lag,
-            warmup_s=args.elastic_warmup,
-            min_vms_per_site=args.elastic_min,
-            max_vms_per_site=args.elastic_max,
-        )
-    scheduler = SchedulerSpec(
-        name=args.scheduler,
-        hybrid_locality_weight=args.hybrid_locality_weight,
-        hybrid_load_weight=args.hybrid_load_weight,
-        hybrid_transfer_weight=args.hybrid_transfer_weight,
-        bw_pending_penalty=args.bw_pending_penalty,
-    )
-    if args.tenants > 1:
-        spec = ScenarioSpec(
-            name=f"cli-{args.workflow}-x{args.tenants}",
-            surface="workload",
-            strategy=StrategySpec(name=args.strategy),
-            scheduler=scheduler,
-            workload=WorkloadSpec.uniform(
-                args.tenants,
-                applications=(args.workflow,),
-                mode=args.mode,
-                n_instances=args.instances,
-                think_time=args.think_time,
-                arrival_rate=args.arrival_rate,
-                input_sites=ScenarioSpec().topology.site_names(),
-                ops_per_task=args.ops,
-                seed=args.seed,
-                name=args.workflow,
-            ),
-            admission=args.admission,
-            max_in_flight=args.max_in_flight,
-            token_rate=args.token_rate,
-            token_burst=args.token_burst,
-            elasticity=elasticity,
-            n_nodes=args.nodes,
-            seed=args.seed,
-        )
-    else:
-        spec = ScenarioSpec(
-            name=f"cli-{args.workflow or 'file'}",
-            surface="workflow",
-            strategy=StrategySpec(name=args.strategy),
-            scheduler=scheduler,
-            application=args.workflow or "montage",
-            workflow_file=getattr(args, "file", None),
-            ops_per_task=args.ops,
-            elasticity=elasticity,
-            n_nodes=args.nodes,
-            seed=args.seed,
-        )
-    spec.validate()
-    return spec
-
-
 #: What a bad scenario target raises: ``ValueError`` from validation
-#: and unknown names, ``TypeError`` from hand-edited spec JSON with a
-#: wrong value type (e.g. a string ``n_nodes``), ``OSError`` from an
-#: unreadable file.  Every subcommand maps them to exit status 2.
+#: and unknown names, ``TypeError`` from hand-edited spec JSON that
+#: cannot build a spec (e.g. a number where a list belongs),
+#: ``OSError`` from an unreadable file.  Every subcommand maps them to
+#: exit status 2.
 _SPEC_ERRORS = (ValueError, TypeError, OSError)
 
 
-def _load_spec(args) -> ScenarioSpec:
+def _load_spec(args, overrides=None) -> ScenarioSpec:
     """The validated scenario a subcommand targets.
 
-    ``args.spec`` names a spec file; otherwise ``args.scenario`` names
-    a registry entry.  Raises one of :data:`_SPEC_ERRORS`.
+    Looks up ``args.scenario`` in the registry or loads ``args.spec``
+    (exactly one must be given), applies the dotted-path
+    ``overrides`` (default: ``args.overrides`` parsed one value per
+    path), then validates.  Raises one of :data:`_SPEC_ERRORS`.
     """
+    if bool(args.scenario) == bool(args.spec):
+        raise ValueError(
+            f"{args.command} takes exactly one target: a scenario name "
+            "or --spec FILE"
+        )
     if args.spec:
         spec = ScenarioSpec.load(args.spec)
     else:
         spec = get_scenario(args.scenario)
+    if overrides is None:
+        overrides = _parse_set(args.overrides, single=True)
+    if overrides:
+        spec = spec.replace(**overrides)
     spec.validate()
     return spec
 
 
 def _cmd_run(args) -> int:
-    if not _RUN_FLAG_DEFAULTS:
-        build_parser()  # populate the clash-check defaults
     try:
-        if args.spec:
-            clashing = sorted(
-                f"--{flag.replace('_', '-')}"
-                for flag, default in _RUN_FLAG_DEFAULTS.items()
-                if getattr(args, flag) != default
-            )
-            if clashing:
-                raise ValueError(
-                    f"--spec replaces the direct run flags ({', '.join(clashing)} "
-                    "given); edit the spec file, or sweep overrides with "
-                    "`repro.cli sweep --spec ... --set path=value`"
-                )
-            spec = _load_spec(args)
-        else:
-            spec = _spec_from_run_args(args)
+        spec = _load_spec(args)
     except _SPEC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.quick:
+        spec = spec.quick()
     if args.metrics and not spec.observability.enabled:
         spec = spec.replace(observability=ObservabilitySpec(enabled=True))
     if args.dump_spec:
@@ -795,20 +559,17 @@ def _cmd_trace(args) -> int:
     from repro.obs import write_chrome_trace, write_jsonl
 
     try:
-        if bool(args.scenario) == bool(args.spec):
-            raise ValueError(
-                "trace takes exactly one target: a scenario name or "
-                "--spec FILE"
-            )
         spec = _load_spec(args)
         categories = (
             tuple(c.strip() for c in args.categories.split(",") if c.strip())
             if args.categories
             else None
         )
+        # Keep the spec's own tracer knobs (--set observability.*);
+        # trace always records, and --categories (default: all) wins.
         spec = spec.replace(
-            observability=ObservabilitySpec(
-                enabled=True, categories=categories
+            observability=dataclasses.replace(
+                spec.observability, enabled=True, categories=categories
             )
         )
         spec.validate()
@@ -1046,14 +807,12 @@ def _render_elastic_dict(el: dict) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    targets = [
-        bool(args.scenario), bool(args.spec), bool(args.artifact)
-    ]
     try:
-        if sum(targets) != 1:
+        if args.artifact and (args.scenario or args.spec or args.overrides):
             raise ValueError(
                 "analyze takes exactly one target: a scenario name, "
-                "--spec FILE or --artifact FILE"
+                "--spec FILE or --artifact FILE (--set needs a scenario "
+                "or spec)"
             )
         if args.artifact:
             with open(args.artifact) as fh:
@@ -1186,33 +945,19 @@ def _cmd_scenarios(_args) -> int:
         render_table(
             ["name", "surface", "key knobs", "caps", "summary"],
             rows,
-            title="named scenarios (repro.cli run --spec / repro.cli sweep)",
+            title=(
+                "named scenarios (repro.cli run NAME [--set PATH=VALUE]; "
+                "repro.cli sweep --scenario NAME)"
+            ),
         )
     )
     return 0
 
 
-def _parse_sweep_value(text: str):
-    """One override value: JSON scalar when it parses, else a string."""
-    try:
-        return json.loads(text)
-    except ValueError:
-        return text
-
-
 def _cmd_sweep(args) -> int:
     try:
-        base = _load_spec(args)
-        axes = {}
-        for item in args.overrides:
-            path, eq, values = item.partition("=")
-            if not eq or not path:
-                raise ValueError(
-                    f"bad --set {item!r}; expected dotted.path=v1,v2"
-                )
-            axes[path] = tuple(
-                _parse_sweep_value(v) for v in values.split(",")
-            )
+        base = _load_spec(args, overrides={})
+        axes = _parse_set(args.overrides)
         if not axes:
             raise ValueError("sweep needs at least one --set axis")
         if args.jobs < 1:
@@ -1353,7 +1098,8 @@ def _cmd_elasticity(_args) -> int:
             rows,
             title=(
                 "elastic autoscaling policies "
-                "(repro.cli run --elastic POLICY; docs/elasticity.md)"
+                "(repro.cli run SCENARIO --set elasticity.enabled=true "
+                "--set elasticity.policy=POLICY; docs/elasticity.md)"
             ),
         )
     )

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.experiments.reporting import check, render_table
-from repro.metadata.config import MetadataConfig
 from repro.scenario import (
     NetworkSpec,
     ScenarioSpec,
@@ -168,7 +167,6 @@ def run_workload_compare(
     seed: int = 17,
     bandwidth_model: str = "slots",
     spread_inputs: bool = True,
-    config: Optional[MetadataConfig] = None,
     jobs: int = 1,
 ) -> WorkloadCompareResult:
     """Run the identical K-tenant workload under each combination.
@@ -186,26 +184,15 @@ def run_workload_compare(
     across the topology's sites (per-tenant data origins); admission
     knobs apply to every combination alike.
     """
-    # A config that already pins an admission policy (e.g. built by the
-    # experiment runner's --admission) wins over the scenario default.
-    pinned = config is not None and config.admission is not None
     topology = TopologySpec()
     base = ScenarioSpec(
         name="workload-compare",
         surface="workload",
         topology=topology,
         network=NetworkSpec(bandwidth_model=bandwidth_model),
-        admission=config.admission if pinned else admission,
+        admission=admission,
         max_in_flight=(
-            config.max_in_flight
-            if pinned
-            else (max_in_flight if admission == "max_in_flight" else None)
-        ),
-        token_rate=config.token_rate if pinned else None,
-        token_burst=(
-            config.token_burst
-            if pinned and config.admission == "token_bucket"
-            else None
+            max_in_flight if admission == "max_in_flight" else None
         ),
         n_nodes=n_nodes,
         seed=seed,
@@ -242,7 +229,7 @@ def run_workload_compare(
                 ),
             )
             cells.append(({"strategy": strategy, "scheduler": scheduler}, spec))
-    for cell in run_cells(cells, jobs=jobs, config_base=config):
+    for cell in run_cells(cells, jobs=jobs):
         if cell.error is not None:
             raise RuntimeError(
                 f"combination {cell.overrides['strategy']}/"

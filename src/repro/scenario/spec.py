@@ -33,10 +33,13 @@ Three execution surfaces cover every experiment shape in the repo:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import math
+import typing
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.cloud.network import BANDWIDTH_MODELS
 from repro.cloud.presets import (
@@ -109,6 +112,65 @@ def _check_keys(label: str, data: Mapping, allowed) -> None:
 def _sub_from_dict(cls, data: Mapping):
     _check_keys(cls.__name__, data, (f.name for f in dataclasses.fields(cls)))
     return cls(**data)
+
+
+_TYPE_WORDS = {int: "an int", float: "a finite number", str: "a string"}
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_fields(cls) -> Tuple[Tuple[str, Optional[type], bool], ...]:
+    """``(name, scalar type or None, optional)`` for each field of a spec
+    dataclass; the type is set only for ``int``/``float``/``str`` fields
+    (bare or ``Optional[...]``)."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        args = typing.get_args(hint)
+        optional = typing.get_origin(hint) is Union and type(None) in args
+        if optional and len(args) == 2:
+            hint = args[0] if args[1] is type(None) else args[1]
+        out.append(
+            (f.name, hint if hint in (int, float, str) else None, optional)
+        )
+    return tuple(out)
+
+
+def _check_field_types(obj, prefix: str = "") -> None:
+    """Reject values that do not match their scalar annotation.
+
+    Walks ``obj``'s dataclass fields, descending into sub-spec
+    dataclasses and tuples of them (``faults.0``,
+    ``workload.tenants.1``): int fields take ints (not bools), float
+    fields take finite ints or floats (not bools), str fields take
+    strings.  The error names the dotted path.
+    """
+    for name, kind, optional in _scalar_fields(type(obj)):
+        value = getattr(obj, name)
+        path = prefix + name
+        if kind is None:
+            if dataclasses.is_dataclass(value):
+                _check_field_types(value, path + ".")
+            elif isinstance(value, tuple):
+                for i, item in enumerate(value):
+                    if dataclasses.is_dataclass(item):
+                        _check_field_types(item, f"{path}.{i}.")
+            continue
+        if value is None and optional:
+            continue
+        if kind is str:
+            ok = isinstance(value, str)
+        elif isinstance(value, bool):
+            ok = False
+        elif kind is int:
+            ok = isinstance(value, int)
+        else:
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+        if not ok:
+            raise ValueError(
+                f"{path} must be {_TYPE_WORDS[kind]}"
+                f"{' or null' if optional else ''}, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -286,8 +348,8 @@ class NetworkSpec:
         )
         if fair_only_knobs and self.bandwidth_model != "fair":
             raise ValueError(
-                "--egress-cap-mb/--ingress-cap-mb/--rpc-flow-weight "
-                "require --bandwidth-model fair"
+                "network.egress_cap_mb/ingress_cap_mb/rpc_flow_weight "
+                "require network.bandwidth_model='fair'"
             )
         if self.transfer_flow_weight != 1.0 and self.bandwidth_model != "fair":
             raise ValueError(
@@ -364,16 +426,16 @@ class SchedulerSpec:
         )
         if hybrid_knobs and self.name != "hybrid":
             raise ValueError(
-                "--hybrid-locality-weight/--hybrid-load-weight/"
-                "--hybrid-transfer-weight require --scheduler hybrid"
+                "scheduler.hybrid_locality_weight/hybrid_load_weight/"
+                "hybrid_transfer_weight require scheduler.name='hybrid'"
             )
         if self.bw_pending_penalty != 1.0 and self.name not in (
             "bandwidth_aware",
             "hybrid",
         ):
             raise ValueError(
-                "--bw-pending-penalty requires --scheduler "
-                "bandwidth_aware (or hybrid)"
+                "scheduler.bw_pending_penalty requires scheduler.name="
+                "'bandwidth_aware' (or 'hybrid')"
             )
         for label in (
             "hybrid_locality_weight",
@@ -745,14 +807,13 @@ def _validate_admission_knobs(
     """The workload-policy knob rules shared by spec and legacy paths."""
     if max_in_flight is not None and admission != "max_in_flight":
         raise ValueError(
-            "--max-in-flight requires --admission max_in_flight"
+            "max_in_flight requires admission='max_in_flight'"
         )
     if (
         token_rate is not None or token_burst is not None
     ) and admission != "token_bucket":
         raise ValueError(
-            "--token-rate/--token-burst require "
-            "--admission token_bucket"
+            "token_rate/token_burst require admission='token_bucket'"
         )
     if admission is not None and admission not in ADMISSION_NAMES:
         raise ValueError(
@@ -947,7 +1008,9 @@ class ScenarioSpec:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
-        """Check every cross-field rule; raises ``ValueError``."""
+        """Check every field type and cross-field rule; raises
+        ``ValueError``."""
+        _check_field_types(self)
         if self.surface not in SURFACES:
             raise ValueError(
                 f"surface must be one of {SURFACES}, got {self.surface!r}"
@@ -1059,11 +1122,10 @@ class ScenarioSpec:
                     "an embedded workload spec requires surface='workload'"
                 )
             if self.admission is not None:
-                # The spec twin of the CLI masquerade guard: admission
-                # control over a single workflow is a contradiction.
+                # Admission control over a single workflow is a
+                # contradiction (the masquerade class this tree rejects).
                 raise ValueError(
-                    "admission control is a workload-surface knob "
-                    "(--tenants > 1 on the CLI)"
+                    "admission control is a workload-surface knob"
                 )
         if self.surface != "workflow" and self.scheduler.input_site:
             # The synthetic benchmark stages no data, and on the

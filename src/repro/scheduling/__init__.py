@@ -6,7 +6,8 @@ Turns the workflow engine's placement step into a swappable
 ``bandwidth_aware`` and ``hybrid``) observe the cluster through a
 :class:`ClusterView` and are selected by name via
 :func:`make_scheduler`, ``Deployment(scheduler=...)``,
-``MetadataConfig.scheduler`` or the ``--scheduler`` CLI flag.
+``MetadataConfig.scheduler`` or the ``scheduler.name`` spec path
+(``repro.cli run SCENARIO --set scheduler.name=...``).
 
 See ``docs/scheduling.md`` for policy semantics, knobs and guidance.
 """

@@ -239,7 +239,7 @@ class TestValidation:
         spec = ScenarioSpec(
             network=NetworkSpec(bandwidth_model="slots", egress_cap_mb=10.0)
         )
-        with pytest.raises(ValueError, match="require --bandwidth-model fair"):
+        with pytest.raises(ValueError, match="require network.bandwidth_model='fair'"):
             spec.validate()
 
     def test_hybrid_knobs_rejected_under_other_policies(self):
@@ -248,12 +248,12 @@ class TestValidation:
                 name="locality", hybrid_load_weight=2.0
             )
         )
-        with pytest.raises(ValueError, match="require --scheduler hybrid"):
+        with pytest.raises(ValueError, match="require scheduler.name='hybrid'"):
             spec.validate()
 
     def test_pending_penalty_rejected_without_bandwidth_aware(self):
         spec = ScenarioSpec(scheduler=SchedulerSpec(bw_pending_penalty=0.5))
-        with pytest.raises(ValueError, match="--bw-pending-penalty"):
+        with pytest.raises(ValueError, match="scheduler.bw_pending_penalty"):
             spec.validate()
 
     def test_admission_rejected_in_single_workflow_mode(self):
@@ -401,6 +401,72 @@ class TestValidation:
             ScenarioSpec(
                 scheduler=SchedulerSpec(input_site="mars")
             ).validate()
+
+
+class TestFieldTypes:
+    """validate() checks each scalar field against its annotation."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("n_nodes", 4.5),
+            ("n_nodes", True),
+            ("n_nodes", "4"),
+            ("ops_per_task", float("inf")),
+            ("seed", None),
+            ("max_in_flight", 2.0),
+            ("network.rpc_flow_weight", float("nan")),
+            ("network.egress_cap_mb", float("inf")),
+            ("scheduler.hybrid_load_weight", False),
+            ("elasticity.lag_s", "30"),
+            ("strategy.name", 7),
+            ("scheduler.name", 3),
+            ("application", None),
+        ],
+    )
+    def test_mistyped_value_names_its_path(self, path, value):
+        spec = ScenarioSpec().replace(**{path: value})
+        with pytest.raises(ValueError, match=f"^{path} must be"):
+            spec.validate()
+
+    def test_nested_tuple_elements_are_checked(self):
+        spec = get_scenario("multi_tenant_8").replace(
+            **{"workload.tenants.2.ops_per_task": 2.5}
+        )
+        with pytest.raises(
+            ValueError, match=r"^workload\.tenants\.2\.ops_per_task"
+        ):
+            spec.validate()
+        fault = FaultSpec("site_outage", site="east-us", duration="5")
+        with pytest.raises(ValueError, match=r"^faults\.0\.duration"):
+            ScenarioSpec(faults=(fault,)).validate()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("network.rpc_flow_weight", 2),
+            ("elasticity.lag_s", 5),
+            ("compute_time", 0),
+            ("max_in_flight", None),
+            ("scheduler.name", None),
+        ],
+    )
+    def test_ints_in_float_fields_and_nulls_in_optionals_pass(
+        self, path, value
+    ):
+        spec = ScenarioSpec().replace(**{path: value})
+        if path.startswith("network."):
+            spec = spec.replace(**{"network.bandwidth_model": "fair"})
+        if path.startswith("elasticity."):
+            spec = spec.replace(**{"elasticity.enabled": True})
+        spec.validate()
+
+    def test_type_error_precedes_cross_field_rules(self):
+        """A mistyped strategy name is reported as such, not as an
+        AttributeError from the alias lookup."""
+        spec = ScenarioSpec().replace(**{"strategy.name": 7})
+        with pytest.raises(ValueError, match="strategy.name must be"):
+            spec.validate()
 
 
 class TestConfigMapping:

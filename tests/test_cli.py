@@ -71,15 +71,11 @@ class TestCommands:
         assert (
             main(
                 [
-                    "run",
-                    "--file",
-                    str(wf_path),
-                    "--strategy",
-                    "dr",
-                    "--nodes",
-                    "8",
-                    "--export",
-                    str(out_path),
+                    "run", "paper_default",
+                    "--set", f"workflow_file={wf_path}",
+                    "--set", "strategy.name=dr",
+                    "--set", "n_nodes=8",
+                    "--export", str(out_path),
                 ]
             )
             == 0
@@ -106,8 +102,8 @@ class TestCommands:
             assert (
                 main(
                     [
-                        "run", "--workflow", "montage", "--ops", "2",
-                        "--nodes", "8", "--seed", seed,
+                        "run", "paper_default", "--set", "ops_per_task=2",
+                        "--set", "n_nodes=8", "--set", f"seed={seed}",
                         "--export", str(path),
                     ]
                 )
@@ -156,17 +152,11 @@ class TestSchedulerFlags:
         assert (
             main(
                 [
-                    "run",
-                    "--workflow",
-                    "montage",
-                    "--strategy",
-                    "dn",
-                    "--nodes",
-                    "8",
-                    "--ops",
-                    "2",
-                    "--scheduler",
-                    "load_balanced",
+                    "run", "paper_default",
+                    "--set", "strategy.name=dn",
+                    "--set", "n_nodes=8",
+                    "--set", "ops_per_task=2",
+                    "--set", "scheduler.name=load_balanced",
                 ]
             )
             == 0
@@ -174,62 +164,57 @@ class TestSchedulerFlags:
         out = capsys.readouterr().out
         assert "load_balanced" in out
 
-    def test_unknown_scheduler_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "--workflow", "montage", "--scheduler", "annealing"]
-            )
+    def test_unknown_scheduler_rejected(self, capsys):
+        rc = main(
+            ["run", "paper_default", "--set", "scheduler.name=annealing"]
+        )
+        assert rc == 2
+        assert "scheduler must be None or one of" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags",
+        "sets",
         [
-            ["--hybrid-locality-weight", "2.0"],
-            ["--hybrid-load-weight", "0.5"],
-            ["--hybrid-transfer-weight", "3.0"],
-            ["--scheduler", "locality", "--hybrid-locality-weight", "2.0"],
-            ["--scheduler", "bandwidth_aware",
-             "--hybrid-transfer-weight", "2.0"],
+            ["scheduler.hybrid_locality_weight=2.0"],
+            ["scheduler.hybrid_load_weight=0.5"],
+            ["scheduler.hybrid_transfer_weight=3.0"],
+            ["scheduler.name=locality",
+             "scheduler.hybrid_locality_weight=2.0"],
+            ["scheduler.name=bandwidth_aware",
+             "scheduler.hybrid_transfer_weight=2.0"],
         ],
     )
-    def test_hybrid_knobs_require_hybrid_scheduler(self, flags, capsys):
-        code = main(["run", "--workflow", "montage"] + flags)
+    def test_hybrid_knobs_require_hybrid_scheduler(self, sets, capsys):
+        code = main(["run", "paper_default"] + _set_args(sets))
         assert code == 2
         err = capsys.readouterr().err
-        assert "require --scheduler hybrid" in err
+        assert "require scheduler.name='hybrid'" in err
 
     @pytest.mark.parametrize(
-        "flags",
+        "sets",
         [
-            ["--bw-pending-penalty", "0.0"],
-            ["--scheduler", "locality", "--bw-pending-penalty", "2.0"],
-            ["--scheduler", "load_balanced", "--bw-pending-penalty", "0.5"],
+            ["scheduler.bw_pending_penalty=0.0"],
+            ["scheduler.name=locality", "scheduler.bw_pending_penalty=2.0"],
+            ["scheduler.name=load_balanced",
+             "scheduler.bw_pending_penalty=0.5"],
         ],
     )
-    def test_pending_penalty_requires_bandwidth_aware(self, flags, capsys):
-        code = main(["run", "--workflow", "montage"] + flags)
+    def test_pending_penalty_requires_bandwidth_aware(self, sets, capsys):
+        code = main(["run", "paper_default"] + _set_args(sets))
         assert code == 2
         err = capsys.readouterr().err
-        assert "--bw-pending-penalty requires" in err
+        assert "scheduler.bw_pending_penalty requires" in err
 
     def test_knobs_accepted_with_matching_scheduler(self, capsys):
         assert (
             main(
                 [
-                    "run",
-                    "--workflow",
-                    "montage",
-                    "--strategy",
-                    "dn",
-                    "--nodes",
-                    "8",
-                    "--ops",
-                    "2",
-                    "--scheduler",
-                    "hybrid",
-                    "--hybrid-locality-weight",
-                    "2.0",
-                    "--bw-pending-penalty",
-                    "0.5",
+                    "run", "paper_default",
+                    "--set", "strategy.name=dn",
+                    "--set", "n_nodes=8",
+                    "--set", "ops_per_task=2",
+                    "--set", "scheduler.name=hybrid",
+                    "--set", "scheduler.hybrid_locality_weight=2.0",
+                    "--set", "scheduler.bw_pending_penalty=0.5",
                 ]
             )
             == 0
@@ -248,9 +233,8 @@ class TestWorkloadFlags:
         assert (
             main(
                 [
-                    "run", "--workflow", "montage", "--tenants", "3",
-                    "--admission", "max_in_flight",
-                    "--max-in-flight", "2", "--ops", "8", "--nodes", "8",
+                    "run", "multi_tenant_8", "--quick",
+                    "--set", "max_in_flight=2", "--set", "n_nodes=8",
                 ]
             )
             == 0
@@ -261,54 +245,61 @@ class TestWorkloadFlags:
         assert "Jain fairness" in out
 
     @pytest.mark.parametrize(
-        "flags",
+        "setting, message",
         [
-            ["--admission", "unbounded"],
-            ["--instances", "2"],
-            ["--mode", "open"],
-            ["--think-time", "1.5"],
-            ["--arrival-rate", "0.5"],
+            ("admission=unbounded", "workload-surface"),
+            ("workload.tenants.0.n_instances=2", "'workload' is unset"),
+            ("workload.mode=open", "'workload' is unset"),
+            ("workload.tenants.0.think_time=1.5", "'workload' is unset"),
+            ("workload.tenants.0.arrival_rate=0.5", "'workload' is unset"),
         ],
     )
-    def test_workload_flags_require_tenants(self, flags, capsys):
+    def test_workload_knobs_require_workload_surface(
+        self, setting, message, capsys
+    ):
         """Single-workflow mode must reject workload-only knobs instead
         of silently ignoring them (masquerade guard)."""
-        rc = main(["run", "--workflow", "montage"] + flags)
+        rc = main(["run", "paper_default", "--set", setting])
         assert rc == 2
-        assert "--tenants" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_admission_knobs_require_policy(self, capsys):
         rc = main(
-            [
-                "run", "--workflow", "montage", "--tenants", "2",
-                "--max-in-flight", "2",
-            ]
+            ["run", "open_loop_tokens", "--set", "max_in_flight=2"]
         )
         assert rc == 2
         assert "max_in_flight" in capsys.readouterr().err
 
-    def test_tenants_incompatible_with_file(self, capsys, tmp_path):
+    def test_workflow_file_rejected_on_workload_surface(
+        self, capsys, tmp_path
+    ):
         from repro.workflow.patterns import scatter
         from repro.workflow.serialization import save_workflow
 
         path = tmp_path / "wf.json"
         save_workflow(scatter(2), path)
-        rc = main(["run", "--file", str(path), "--tenants", "2"])
+        rc = main(
+            ["run", "multi_tenant_8", "--set", f"workflow_file={path}"]
+        )
         assert rc == 2
-        assert "--workflow" in capsys.readouterr().err
+        assert "workflow-surface" in capsys.readouterr().err
 
     def test_open_loop_run(self, capsys):
         assert (
             main(
                 [
-                    "run", "--workflow", "buzzflow", "--tenants", "2",
-                    "--mode", "open", "--arrival-rate", "1.0",
-                    "--ops", "4", "--nodes", "8",
+                    "run", "open_loop_tokens", "--quick",
+                    "--set", "n_nodes=8",
                 ]
             )
             == 0
         )
         assert "open loop" in capsys.readouterr().out
+
+
+def _set_args(settings):
+    """``["--set", s]`` for each ``PATH=VALUE`` setting."""
+    return [arg for setting in settings for arg in ("--set", setting)]
 
 
 def _trace_out(command, tmp_path):
@@ -332,12 +323,12 @@ class TestScenarioFlags:
             assert name in out
 
     def test_dump_spec_to_stdout(self, capsys):
-        """The fast-profile smoke check: flags compile to a spec."""
+        """The fast-profile smoke check: overrides compile to a spec."""
         assert (
             main(
                 [
-                    "run", "--workflow", "montage", "--ops", "2",
-                    "--nodes", "8", "--dump-spec", "-",
+                    "run", "paper_default", "--set", "ops_per_task=2",
+                    "--set", "n_nodes=8", "--dump-spec", "-",
                 ]
             )
             == 0
@@ -354,8 +345,9 @@ class TestScenarioFlags:
         """--dump-spec output re-fed via --spec reproduces the same
         result object (identical rendered report)."""
         flags = [
-            "run", "--workflow", "buzzflow", "--strategy", "dn",
-            "--ops", "2", "--nodes", "8", "--seed", "3",
+            "run", "paper_default", "--set", "application=buzzflow",
+            "--set", "strategy.name=dn", "--set", "ops_per_task=2",
+            "--set", "n_nodes=8", "--set", "seed=3",
         ]
         assert main(flags) == 0
         direct_out = capsys.readouterr().out
@@ -371,10 +363,8 @@ class TestScenarioFlags:
         assert (
             main(
                 [
-                    "run", "--workflow", "montage", "--tenants", "3",
-                    "--admission", "max_in_flight", "--max-in-flight", "2",
-                    "--ops", "4", "--nodes", "8",
-                    "--dump-spec", str(path),
+                    "run", "multi_tenant_8", "--set", "max_in_flight=2",
+                    "--set", "n_nodes=8", "--dump-spec", str(path),
                 ]
             )
             == 0
@@ -384,29 +374,83 @@ class TestScenarioFlags:
         doc = json.loads(path.read_text())
         assert doc["surface"] == "workload"
         assert doc["admission"] == "max_in_flight"
-        assert len(doc["workload"]["tenants"]) == 3
+        assert doc["max_in_flight"] == 2
+        assert len(doc["workload"]["tenants"]) == 8
 
-    def test_spec_rejects_conflicting_direct_flags(self, capsys, tmp_path):
+    def test_set_composes_with_spec_file(self, capsys, tmp_path):
+        """--set applies on top of a spec file; an unknown path is an
+        error naming it, never a silently ignored knob."""
+        import json
+
         path = tmp_path / "spec.json"
         assert (
             main(
                 [
-                    "run", "--workflow", "montage", "--ops", "2",
-                    "--nodes", "8", "--dump-spec", str(path),
+                    "run", "paper_default", "--set", "ops_per_task=2",
+                    "--set", "n_nodes=8", "--dump-spec", str(path),
                 ]
             )
             == 0
         )
         capsys.readouterr()
-        rc = main(["run", "--spec", str(path), "--nodes", "4"])
+        argv = ["run", "--spec", str(path), "--dump-spec", "-"]
+        assert main(argv + ["--set", "n_nodes=4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n_nodes"] == 4 and doc["ops_per_task"] == 2
+        rc = main(argv + ["--set", "nodes=4"])
         assert rc == 2
-        assert "--spec replaces" in capsys.readouterr().err
+        assert "'nodes'" in capsys.readouterr().err
 
-    def test_spec_is_exclusive_with_workflow(self, tmp_path):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "--workflow", "montage", "--spec", "x.json"]
-            )
+    def test_spec_is_exclusive_with_scenario(self, capsys):
+        rc = main(["run", "paper_default", "--spec", "x.json"])
+        assert rc == 2
+        assert "exactly one target" in capsys.readouterr().err
+
+    def test_set_rejects_a_value_list(self, capsys):
+        """run takes one value per path; lists belong to sweep."""
+        rc = main(
+            ["run", "paper_default", "--set", "strategy.name=dn,hybrid"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "one value per path" in err
+        assert "repro.cli sweep" in err
+
+    def test_bad_set_syntax(self, capsys):
+        rc = main(["run", "paper_default", "--set", "n_nodes"])
+        assert rc == 2
+        assert "dotted.path=value" in capsys.readouterr().err
+
+    def test_float_in_int_spec_field_exits_2(self, capsys, tmp_path):
+        """A spec file with a fractional node count fails validation
+        naming the field, instead of a traceback from the deployment."""
+        path = tmp_path / "frac.json"
+        path.write_text('{"surface": "workflow", "n_nodes": 4.5}')
+        rc = main(["run", "--spec", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_nodes" in err
+
+    def test_non_finite_override_exits_2(self, capsys):
+        """--quick caps ops_per_node at 100, so an infinite value used
+        to run silently; it fails validation instead."""
+        rc = main(
+            [
+                "run", "paper_synthetic", "--set", "ops_per_node=Infinity",
+                "--quick",
+            ]
+        )
+        assert rc == 2
+        assert "ops_per_node" in capsys.readouterr().err
+
+    def test_quick_runs_the_reduced_spec(self, capsys):
+        assert (
+            main(["run", "paper_default", "--quick", "--dump-spec", "-"])
+            == 0
+        )
+        import json
+
+        assert json.loads(capsys.readouterr().out)["ops_per_task"] == 20
 
     def test_spec_missing_file_errors_cleanly(self, capsys):
         rc = main(["run", "--spec", "/nonexistent/spec.json"])
@@ -457,6 +501,7 @@ class TestScenarioFlags:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["run"],
             ["sweep", "--set", "seed=1", "--quick"],
             ["trace", "--quick"],
             ["analyze", "--quick"],
@@ -476,6 +521,7 @@ class TestScenarioFlags:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["run"],
             ["sweep", "--set", "seed=1", "--quick"],
             ["trace", "--quick"],
             ["analyze", "--quick"],
@@ -484,7 +530,7 @@ class TestScenarioFlags:
     )
     def test_spec_failing_validation_exits_2(self, capsys, tmp_path, argv):
         """A well-typed spec that ``validate()`` rejects exits 2 the same
-        way under every spec-taking subcommand, not only ``run``."""
+        way under every spec-taking subcommand."""
         path = tmp_path / "bad.json"
         path.write_text('{"surface": "workflow", "admission": "unbounded"}')
         extra = _trace_out(argv[0], tmp_path)
@@ -492,7 +538,7 @@ class TestScenarioFlags:
         assert rc == 2
         assert "workload-surface" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["trace", "analyze"])
+    @pytest.mark.parametrize("command", ["run", "trace", "analyze"])
     def test_unknown_named_scenario_exits_2(self, capsys, tmp_path, command):
         """The positional scenario name goes through the same loader as
         ``sweep --scenario``: an unknown name is exit 2, not a KeyError."""
@@ -857,6 +903,21 @@ class TestTraceCommand:
         )
         assert rc == 2
 
+    def test_trace_honours_set_overrides(self, capsys, tmp_path):
+        """--set reaches the traced spec, tracer knobs included."""
+        rc = main(
+            [
+                "trace", "fanout_bandwidth_aware", "--quick",
+                "--set", "observability.enabled=true",
+                "--set", "observability.max_events=10",
+                "--out", str(tmp_path / "t.json"),
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        dropped = int(out.split("spans (")[1].split()[0])
+        assert dropped > 0
+
     def test_trace_unknown_category_errors(self, capsys, tmp_path):
         rc = main(
             [
@@ -953,6 +1014,18 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert "no 'analysis' or 'slo'" in capsys.readouterr().err
 
+    def test_analyze_set_override(self, capsys, tmp_path):
+        argv = [
+            "analyze", "fanout_bandwidth_aware", "--quick",
+            "--set", "strategy.name=centralized",
+        ]
+        assert main(argv) == 0
+        assert "observed critical path" in capsys.readouterr().out
+        rc = main(argv[:1] + ["--artifact", str(tmp_path / "x.json")]
+                  + argv[3:])
+        assert rc == 2
+        assert "exactly one target" in capsys.readouterr().err
+
     def test_analyze_requires_exactly_one_target(self, capsys, tmp_path):
         rc = main(["analyze"])
         assert rc == 2
@@ -972,13 +1045,8 @@ class TestRunMetricsFlag:
         assert (
             main(
                 [
-                    "run",
-                    "--workflow",
-                    "montage",
-                    "--ops",
-                    "6",
-                    "--nodes",
-                    "8",
+                    "run", "paper_default",
+                    "--set", "ops_per_task=6", "--set", "n_nodes=8",
                     "--metrics",
                 ]
             )
@@ -1023,23 +1091,17 @@ class TestElasticityFlags:
         assert "slo+elastic" in out
         assert "obs+slo" in out
 
-    def test_run_with_elastic_flags_reports_actions(self, capsys):
+    def test_run_with_elastic_overrides_reports_actions(self, capsys):
         assert (
             main(
                 [
-                    "run",
-                    "--workflow",
-                    "montage",
-                    "--ops",
-                    "10",
-                    "--nodes",
-                    "4",
-                    "--elastic",
-                    "threshold",
-                    "--elastic-lag",
-                    "5",
-                    "--elastic-max",
-                    "3",
+                    "run", "paper_default",
+                    "--set", "ops_per_task=10",
+                    "--set", "n_nodes=4",
+                    "--set", "elasticity.enabled=true",
+                    "--set", "elasticity.policy=threshold",
+                    "--set", "elasticity.lag_s=5",
+                    "--set", "elasticity.max_vms_per_site=3",
                 ]
             )
             == 0
@@ -1048,24 +1110,22 @@ class TestElasticityFlags:
         assert "elastic policy threshold" in out
         assert "vm-seconds" in out
 
-    def test_elastic_knobs_require_elastic_flag(self, capsys):
+    def test_elastic_knobs_require_enabled(self, capsys):
         assert (
             main(
                 [
-                    "run",
-                    "--workflow",
-                    "montage",
-                    "--ops",
-                    "4",
-                    "--elastic-lag",
-                    "5",
+                    "run", "paper_default",
+                    "--set", "ops_per_task=4",
+                    "--set", "elasticity.lag_s=5",
                 ]
             )
             == 2
         )
-        assert "--elastic" in capsys.readouterr().err
+        assert "require enabled=True" in capsys.readouterr().err
 
-    def test_elastic_flags_clash_with_spec_file(self, capsys, tmp_path):
+    def test_elastic_overrides_on_spec_file_are_validated(
+        self, capsys, tmp_path
+    ):
         from repro.scenario import get_scenario
 
         spec_path = tmp_path / "spec.json"
@@ -1073,16 +1133,14 @@ class TestElasticityFlags:
         assert (
             main(
                 [
-                    "run",
-                    "--spec",
-                    str(spec_path),
-                    "--elastic",
-                    "threshold",
+                    "run", "--spec", str(spec_path),
+                    "--set", "elasticity.enabled=true",
+                    "--set", "elasticity.policy=predictive",
                 ]
             )
             == 2
         )
-        assert "--spec" in capsys.readouterr().err
+        assert "needs the workload surface" in capsys.readouterr().err
 
     def test_analyze_elastic_scenario_prints_capacity_timeline(
         self, capsys
