@@ -98,6 +98,55 @@ class TestOutputIdentityGolden:
         assert _sha256(json.dumps(doc, sort_keys=True)) == self.EXPORT
 
 
+class TestDroppedPathGolden:
+    """A quick, fully traced ``multi_tenant_8`` run whose ``max_events``
+    budget runs out part-way, so both events and spans overflow.  Its
+    exports, per-category ``counts`` (in first-emission order) and
+    ``dropped`` were recorded on the columnar four-list store; the lane
+    store must reproduce the retained prefix and the drop accounting
+    exactly."""
+
+    MAX_EVENTS = 4000
+    JSONL = "7620d575eac2ce8baa3e140c0b8ca33c564dbb4662e6993c13305abc512f764c"
+    CHROME = "3b5cec160a0d9ad65fe655782d9d897a67cc764981965b45171f71f4f1754ccb"
+    EXPORT = "7e99dadafd671a67919b1b57f1a5c0edd8bb92ff44d81b1b08226ab5b4d8ad38"
+    COUNTS = [
+        ("kernel", 8466), ("workload", 24), ("scheduler", 78),
+        ("span", 2133), ("network", 2960), ("registry", 761),
+    ]
+    DROPPED = 10422
+
+    @pytest.fixture(scope="class")
+    def tracer(self):
+        spec = get_scenario("multi_tenant_8").replace(
+            observability=ObservabilitySpec(
+                enabled=True, max_events=self.MAX_EVENTS
+            )
+        )
+        return spec.run(quick=True).tracer
+
+    def test_both_kinds_overflow(self, tracer):
+        assert len(tracer.events) + len(tracer.spans) == self.MAX_EVENTS
+        assert len(tracer.spans) < self.COUNTS[3][1]
+        assert len(tracer.events) < sum(
+            n for cat, n in self.COUNTS if cat != "span"
+        )
+
+    def test_counts_and_dropped(self, tracer):
+        assert list(tracer.counts.items()) == self.COUNTS
+        assert tracer.dropped == self.DROPPED
+
+    def test_jsonl_digest(self, tracer):
+        assert _sha256("\n".join(events_jsonl(tracer))) == self.JSONL
+
+    def test_chrome_digest(self, tracer):
+        assert _sha256(json.dumps(chrome_trace_doc(tracer))) == self.CHROME
+
+    def test_export_digest(self, tracer):
+        doc = tracer.export()
+        assert _sha256(json.dumps(doc, sort_keys=True)) == self.EXPORT
+
+
 class TestChromeLaneMetadata:
     def test_every_lane_has_a_thread_name_record(self, traced_workload):
         doc = chrome_trace_doc(traced_workload.tracer)
