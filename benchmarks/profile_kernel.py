@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Kernel profiling harness + synthetic churn benchmarks.
 
-Two subcommands::
+Three subcommands::
 
     python benchmarks/profile_kernel.py profile [--scenario NAME]
                                                 [--sort tottime] [--top 25]
     python benchmarks/profile_kernel.py churn   [--merge-into BENCH.json]
                                                 [--json PATH] [--runs 2]
+    python benchmarks/profile_kernel.py trace-cost [--seed 0]
 
 ``profile`` runs one pinned bench scenario (from ``scripts/bench.py``)
 under :mod:`cProfile` and prints the hottest functions -- this is the
@@ -27,6 +28,11 @@ implementation *in the same process, on the same inputs*:
   reschedules many pending completions).  "Before" disables dead-entry
   compaction (the seed behavior: lazily-deleted entries pile up in the
   calendar); "after" is the shipped 50%-dead compaction threshold.
+
+``trace-cost`` runs the benchmark's traced ``tenants_traced`` workload
+once and prints, per trace category, the retained rows and the bytes
+the tracer's lane store keeps for them (the table in
+``docs/observability.md``).
 
 ``--merge-into BENCH_<rev>.json`` embeds the results under a ``churn``
 key of an existing bench-trajectory document (see ``scripts/bench.py``),
@@ -75,6 +81,84 @@ def run_profile(scenario: str, sort: str, top: int) -> None:
     prof.disable()
     stats = pstats.Stats(prof, stream=sys.stdout)
     stats.strip_dirs().sort_stats(sort).print_stats(top)
+
+
+# -- retained trace memory per category -----------------------------------
+
+
+def _owned_bytes(values, seen) -> int:
+    """Sizes of the value objects in ``values`` not counted before.
+
+    Singletons and cached small ints cost nothing; a dict value (the
+    scheduler's ``scores``) counts with its own values.
+    """
+    total = 0
+    for v in values:
+        if v is None or isinstance(v, bool) or id(v) in seen:
+            continue
+        if type(v) is int and -5 <= v <= 256:
+            continue
+        seen.add(id(v))
+        total += sys.getsizeof(v)
+        if isinstance(v, dict):
+            total += _owned_bytes(v.values(), seen)
+    return total
+
+
+def trace_cost(tracer):
+    """``category -> [rows, retained bytes]`` of a lane-store tracer.
+
+    A row costs its share of the lane columns (list over-allocation
+    included), its lane id (the order array, or a span's lane and end
+    slots and any ``finish()`` extras) and the value objects it is the
+    first row to reference.  Values the simulation also holds (site
+    names, registry keys) are counted too, so the bytes are an upper
+    bound on what dropping the trace would free.
+    """
+    seen: set = set()
+    cost = {}
+
+    def add(cat, rows, nbytes):
+        entry = cost.setdefault(cat, [0, 0])
+        entry[0] += rows
+        entry[1] += nbytes
+
+    for lane in tracer._lanes:
+        columns = [lane.ts, *lane.cols]
+        add(lane.cat, len(lane.ts), tracer._order.itemsize * len(lane.ts)
+            + sum(sys.getsizeof(c) + _owned_bytes(c, seen) for c in columns))
+    for lane in tracer._span_lanes:
+        columns = [lane.ts, *lane.cols]
+        add(lane.cat, len(lane.ts),
+            sum(sys.getsizeof(c) + _owned_bytes(c, seen) for c in columns))
+    cat_of = [tracer._span_lanes[lane_id].cat for lane_id in tracer._span_lane]
+    per_span = tracer._span_lane.itemsize + 8  # lane id + end slot
+    for sid, end in enumerate(tracer._span_end):
+        add(cat_of[sid], 0, per_span + _owned_bytes((end,), seen))
+    for sids, cols in tracer._extras.values():
+        for j, sid in enumerate(sids):
+            values = [col[j] for col in cols]
+            add(cat_of[sid], 0, sids.itemsize + 8 * len(values)
+                + _owned_bytes(values, seen))
+    return cost
+
+
+def run_trace_cost(seed: int) -> None:
+    """Print the per-category cost table of one ``tenants_traced`` run."""
+    sys.path.insert(0, str(REPO_ROOT))
+    from perfbench.workloads import build_spec
+
+    tracer = build_spec("tenants_traced", seed).run().tracer
+    cost = trace_cost(tracer)
+    rows = sum(r for r, _ in cost.values())
+    nbytes = sum(b for _, b in cost.values())
+    print("| category | rows | retained MiB | bytes/row |")
+    print("|----------|-----:|-------------:|----------:|")
+    for cat, (r, b) in sorted(cost.items(), key=lambda kv: -kv[1][1]):
+        print(f"| {cat} | {r:,} | {b / 2**20:.2f} | {b / r:.0f} |")
+    print(f"| all | {rows:,} | {nbytes / 2**20:.2f} | {nbytes / rows:.0f} |")
+    print(f"\nmax_events=1_000_000 at this mix: "
+          f"{nbytes / rows * 1e6 / 2**20:.0f} MiB")
 
 
 # -- flow churn: incremental vs global water-filling -----------------------
@@ -248,6 +332,12 @@ def main(argv=None) -> int:
     p_prof.add_argument("--sort", default="tottime")
     p_prof.add_argument("--top", type=int, default=25)
 
+    p_cost = sub.add_parser(
+        "trace-cost",
+        help="retained trace rows and bytes per category (tenants_traced)",
+    )
+    p_cost.add_argument("--seed", type=int, default=0)
+
     p_churn = sub.add_parser("churn", help="run the churn benchmarks")
     p_churn.add_argument("--runs", type=int, default=2,
                          help="take the best of N runs (default 2)")
@@ -260,6 +350,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cmd == "profile":
         run_profile(args.scenario, args.sort, args.top)
+        return 0
+    if args.cmd == "trace-cost":
+        run_trace_cost(args.seed)
         return 0
 
     doc = run_churn(args.runs)

@@ -32,7 +32,9 @@
 #      non-empty Chrome trace-event JSON covering the kernel, network,
 #      scheduler and span layers, and its trace store must be
 #      consistent (one Chrome instant record per retained event; the
-#      per-category counts sum to events + spans + dropped);
+#      per-category counts sum to events + spans + dropped; the kernel
+#      lane holds one pop row per processed event; no Span handle is
+#      still GC-tracked after the run);
 #   5. an analyze smoke: repro.cli analyze on the SLO-bearing registry
 #      scenario must render an observed-critical-path section and an
 #      SLO verdict line (docs/observability.md);
@@ -119,23 +121,35 @@ cats = {e.get("cat") for e in events}
 missing = {"kernel", "network", "scheduler", "span"} - cats
 assert not missing, f"trace missing categories: {sorted(missing)}"
 PY
-# Trace-store consistency: the columnar event view must yield each
-# retained event exactly once, and the derived per-category counts
-# must cover every retained event and span plus the dropped ones.
+# Trace-store consistency: the lane store's event view must yield each
+# retained event exactly once, the derived per-category counts must
+# cover every retained event and span plus the dropped ones, the
+# kernel lane must hold one pop row per processed event (nothing is
+# dropped on this run), and no Span handle may outlive the run.
 python - <<'PY'
-from repro.obs import chrome_trace_doc
+import gc
+
+from repro.obs import Span, chrome_trace_doc
 from repro.scenario import ObservabilitySpec, get_scenario
 
 spec = get_scenario("fanout_bandwidth_aware").replace(
     observability=ObservabilitySpec(enabled=True)
 )
-tracer = spec.run(quick=True).tracer
+result = spec.run(quick=True)
+tracer = result.tracer
 instants = [e for e in chrome_trace_doc(tracer)["traceEvents"] if e["ph"] == "i"]
 assert tracer.events and len(instants) == len(tracer.events), (
     len(instants), len(tracer.events))
 assert sum(tracer.counts.values()) == (
     len(tracer.events) + len(tracer.spans) + tracer.dropped
 ), (tracer.counts, len(tracer.events), len(tracer.spans), tracer.dropped)
+assert tracer.dropped == 0, tracer.dropped
+pops = sum(1 for _ in tracer.select("kernel", "pop"))
+processed = result.provenance["events_processed"]
+assert pops == processed, (pops, processed)
+gc.collect()
+spans = [o for o in gc.get_objects() if isinstance(o, Span)]
+assert not spans, f"{len(spans)} Span objects still GC-tracked"
 PY
 
 # Analyze smoke: the trace-analysis plane must turn a quick traced

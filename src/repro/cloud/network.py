@@ -210,6 +210,17 @@ class Network:
             if self._trace_net
             else None
         )
+        # Positional recorders for the per-transfer and per-RPC rows.
+        self._rec_open = tr.recorder(
+            "network", "transfer_open", "src", "dst", "size"
+        )
+        self._rec_done = tr.recorder(
+            "network", "transfer_done", "src", "dst", "size", "latency"
+        )
+        self._rec_rpc = tr.recorder(
+            "network", "rpc",
+            "src", "dst", "request_s", "service_s", "response_s",
+        )
 
     # -- delay model --------------------------------------------------------
 
@@ -407,9 +418,7 @@ class Network:
         # and carry no WAN signal.
         trace = self._trace_net and src != dst
         if trace:
-            self._tracer.emit(
-                "network", "transfer_open", src=src, dst=dst, size=size
-            )
+            self._rec_open(src, dst, size)
         sp = (
             self._tracer.span(
                 "transfer", parent=span_parent, src=src, dst=dst, size=size
@@ -496,10 +505,7 @@ class Network:
             stats.geo_distant_messages += 1
         if trace:
             latency = self.env.now - msg.sent_at
-            self._tracer.emit(
-                "network", "transfer_done",
-                src=src, dst=dst, size=size, latency=latency,
-            )
+            self._rec_done(src, dst, size, latency)
             self._h_transfer.add(latency)
         if sp is not None:
             sp.finish()
@@ -553,11 +559,7 @@ class Network:
         )
         if trace:
             t3 = self.env.now
-            self._tracer.emit(
-                "network", "rpc",
-                src=src, dst=dst,
-                request_s=t1 - t0, service_s=t2 - t1, response_s=t3 - t2,
-            )
+            self._rec_rpc(src, dst, t1 - t0, t2 - t1, t3 - t2)
             self._h_rpc.add(t3 - t0)
         if sp is not None:
             sp.finish(request_s=t1 - t0, service_s=t2 - t1)

@@ -52,10 +52,14 @@ class MetadataRegistry:
         # at a saturated instance is the paper's central contention
         # effect, so it gets first-class tracing).
         tr = getattr(env, "tracer", None)
-        self._tracer = tr
         self._trace_reg = tr is not None and tr.enabled and tr.wants("registry")
         self._h_wait = (
             tr.metrics.histogram("registry.slot_wait_s")
+            if self._trace_reg
+            else None
+        )
+        self._rec_wait = (
+            tr.recorder("registry", "slot_wait", "site", "wait", "queue")
             if self._trace_reg
             else None
         )
@@ -71,11 +75,7 @@ class MetadataRegistry:
                 yield req
                 if self._trace_reg:
                     wait = self.env.now - enqueued
-                    self._tracer.emit(
-                        "registry", "slot_wait",
-                        site=self.site, wait=wait,
-                        queue=len(server.queue),
-                    )
+                    self._rec_wait(self.site, wait, len(server.queue))
                     self._h_wait.add(wait)
                 start = self.env.now
                 yield Timeout(self.env, duration)

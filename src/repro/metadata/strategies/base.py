@@ -74,8 +74,11 @@ class MetadataStrategy:
         # quantiles mirror OpStats.latency_percentile within the
         # documented sketch error).
         tr = getattr(env, "tracer", None) or NULL_TRACER
-        self._tracer = tr
         self._trace_ops = tr.enabled and tr.wants("registry")
+        self._rec_op = tr.recorder(
+            "registry", "op",
+            "kind", "key", "site", "latency", "local", "retries",
+        )
         if self._trace_ops:
             self._h_op = tr.metrics.histogram("ops.latency_s")
             self._h_read = tr.metrics.histogram("ops.read_latency_s")
@@ -89,11 +92,7 @@ class MetadataStrategy:
     ) -> None:
         """Emit one completed-op event + histogram samples (traced runs)."""
         latency = self.env.now - start
-        self._tracer.emit(
-            "registry", "op",
-            kind=kind, key=key, site=site,
-            latency=latency, local=local, retries=retries,
-        )
+        self._rec_op(kind, key, site, latency, local, retries)
         self._h_op.add(latency)
         if kind == "read":
             self._h_read.add(latency)

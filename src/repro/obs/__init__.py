@@ -20,6 +20,7 @@ from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
     Span,
+    SpanRecord,
     TRACE_CATEGORIES,
     Tracer,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Span",
+    "SpanRecord",
     "TRACE_CATEGORIES",
     "Tracer",
     "Counter",

@@ -27,6 +27,16 @@ Three questions are answered from one trace:
   by busy time; the SLO rule engine proper lives in
   :mod:`repro.scenario.slo` and consumes this module's output.
 
+The tracer is duck-typed.  Analysis reads three things from it:
+
+- ``spans``: records with ``id``, ``name``, ``cat``, ``parent``,
+  ``start``, ``end`` and an ``args`` dict, in id order;
+- ``select(cat, name=None)``: the ``(ts, cat, name, args)`` event rows
+  of one category (and name) in emission order, ``args`` a dict or
+  ``None`` -- so a large trace is never rebuilt row by row to find the
+  few rows analysis needs;
+- ``dropped``: how many events and spans the budget shed.
+
 Degenerate inputs are sentinels, not errors: an empty tracer (or one
 recorded without the ``span`` category) yields a :class:`RunAnalysis`
 with no workflows and empty utilization maps, and
@@ -405,9 +415,11 @@ def _analyze_workflow(
 def analyze_tracer(tracer) -> RunAnalysis:
     """Build a :class:`RunAnalysis` from a finished run's tracer.
 
-    Reads only ``tracer.spans`` / ``tracer.events`` / ``tracer.dropped``
-    -- never the environment -- so it can run on a live tracer or on one
-    reconstructed from an export.  Unfinished spans are skipped.
+    Reads only ``tracer.spans``, the ``workload`` submit/admit and
+    ``registry`` slot-wait rows through ``tracer.select``, and
+    ``tracer.dropped`` -- never the environment -- so it can run on a
+    live tracer or on one reconstructed from an export.  Unfinished
+    spans are skipped.
     """
     finished = [s for s in tracer.spans if s.end is not None]
     by_parent: Dict[int, list] = {}
@@ -426,31 +438,30 @@ def analyze_tracer(tracer) -> RunAnalysis:
     else:
         window = (0.0, 0.0)
 
-    # One pass over the events: workload correlation (submit times and
-    # admission waits by run tag) and registry slot-wait pressure by
-    # site (queueing at saturated registry instances; uncorrelated with
-    # tasks by design).
+    # Three event lanes, read through select: workload correlation
+    # (submit times and admission waits by run tag) and registry
+    # slot-wait pressure by site (queueing at saturated registry
+    # instances; uncorrelated with tasks by design).
     submit_ts: Dict[str, float] = {}
     admit_wait: Dict[str, float] = {}
     registry_wait: Dict[str, Dict[str, float]] = {}
-    for ts, cat, name, args in tracer.events:
+    for ts, _, _, args in tracer.select("workload", "submit"):
+        if args:
+            submit_ts.setdefault(str(args.get("run", "")), ts)
+    for _, _, _, args in tracer.select("workload", "admit"):
+        if args:
+            admit_wait[str(args.get("run", ""))] = float(args.get("wait", 0.0))
+    for _, _, _, args in tracer.select("registry", "slot_wait"):
         if not args:
             continue
-        if cat == "workload":
-            run = str(args.get("run", ""))
-            if name == "submit":
-                submit_ts.setdefault(run, ts)
-            elif name == "admit":
-                admit_wait[run] = float(args.get("wait", 0.0))
-        elif cat == "registry" and name == "slot_wait":
-            site = str(args.get("site", ""))
-            wait = float(args.get("wait", 0.0))
-            entry = registry_wait.setdefault(
-                site, {"total_s": 0.0, "count": 0, "max_s": 0.0}
-            )
-            entry["total_s"] += wait
-            entry["count"] += 1
-            entry["max_s"] = max(entry["max_s"], wait)
+        site = str(args.get("site", ""))
+        wait = float(args.get("wait", 0.0))
+        entry = registry_wait.setdefault(
+            site, {"total_s": 0.0, "count": 0, "max_s": 0.0}
+        )
+        entry["total_s"] += wait
+        entry["count"] += 1
+        entry["max_s"] = max(entry["max_s"], wait)
 
     groups: Dict[str, list] = {}
     for s in task_spans:
@@ -545,8 +556,8 @@ def capacity_timeline(tracer) -> Dict[str, List[Tuple[float, int]]]:
     no elastic controller or the category was not recorded.
     """
     out: Dict[str, List[Tuple[float, int]]] = {}
-    for ts, cat, name, args in tracer.events:
-        if cat != "elastic" or not args or "vms" not in args:
+    for ts, _, _, args in tracer.select("elastic"):
+        if not args or "vms" not in args:
             continue
         out.setdefault(str(args.get("site", "")), []).append(
             (ts, int(args["vms"]))

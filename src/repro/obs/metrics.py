@@ -277,8 +277,8 @@ class MetricsRegistry:
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, ReservoirHistogram] = {}
         self.series: List[Tuple[float, Dict[str, float]]] = []
-        # -inf: the first gate check always samples.  Tracer.emit and
-        # Tracer.span inline the maybe_sample gate on this field.
+        # -inf: the first gate check always samples.  The tracer's
+        # recorders inline the maybe_sample gate on this field.
         self._last = -math.inf
 
     # -- instrument factories (get-or-create) ---------------------------------------

@@ -233,10 +233,7 @@ class Timeout(Event):
         self._entry = entry
         heappush(env._queue, entry)
         if env._trace_kernel:
-            env.tracer.emit(
-                "kernel", "schedule",
-                t=entry[0], prio=1, kind="Timeout", depth=len(env._queue),
-            )
+            env._rec_schedule(entry[0], 1, "Timeout", len(env._queue))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay}>"
@@ -258,10 +255,7 @@ class Initialize(Event):
         self._entry = entry
         heappush(env._queue, entry)
         if env._trace_kernel:
-            env.tracer.emit(
-                "kernel", "schedule",
-                t=entry[0], prio=0, kind="Initialize", depth=len(env._queue),
-            )
+            env._rec_schedule(entry[0], 0, "Initialize", len(env._queue))
 
 
 class Interrupt(Exception):
@@ -461,6 +455,10 @@ class Environment:
         Starting value of the virtual clock.
     """
 
+    #: The tracer's positional recorders for the two per-event kernel
+    #: rows, bound by :meth:`attach_tracer` when ``kernel`` is traced.
+    _rec_schedule = _rec_pop = None
+
     def __init__(self, initial_time: float = 0.0):
         #: Current simulated time (seconds by convention in this repo).
         #: A plain attribute, not a property: the kernel reads it on
@@ -507,6 +505,13 @@ class Environment:
         self._trace_kernel = bool(
             tracer is not None and tracer.enabled and tracer.wants("kernel")
         )
+        if self._trace_kernel:
+            self._rec_schedule = tracer.recorder(
+                "kernel", "schedule", "t", "prio", "kind", "depth"
+            )
+            self._rec_pop = tracer.recorder("kernel", "pop", "t", "prio", "depth")
+        else:
+            self._rec_schedule = self._rec_pop = None
 
     # -- event factories ----------------------------------------------------
 
@@ -537,10 +542,8 @@ class Environment:
         event._entry = entry
         heappush(self._queue, entry)
         if self._trace_kernel:
-            self.tracer.emit(
-                "kernel", "schedule",
-                t=entry[0], prio=priority, kind=type(event).__name__,
-                depth=len(self._queue),
+            self._rec_schedule(
+                entry[0], priority, type(event).__name__, len(self._queue)
             )
 
     def reschedule(
@@ -634,10 +637,7 @@ class Environment:
         self.now = entry[0]
         self.events_processed += 1
         if self._trace_kernel:
-            self.tracer.emit(
-                "kernel", "pop",
-                t=entry[0], prio=entry[1], depth=len(queue),
-            )
+            self._rec_pop(entry[0], entry[1], len(queue))
         event._entry = None
         callbacks = event.callbacks
         event.callbacks = None
@@ -684,6 +684,7 @@ class Environment:
         # the hottest loop in the whole simulator.
         queue = self._queue
         trace = self._trace_kernel
+        record_pop = self._rec_pop
         processed = 0
         # The dispatch count is kept in a local and folded back in the
         # finally block (the loop has three exits: break, early return,
@@ -707,10 +708,7 @@ class Environment:
                 self.now = entry[0]
                 processed += 1
                 if trace:
-                    self.tracer.emit(
-                        "kernel", "pop",
-                        t=entry[0], prio=entry[1], depth=len(queue),
-                    )
+                    record_pop(entry[0], entry[1], len(queue))
                 event._entry = None
                 callbacks = event.callbacks
                 event.callbacks = None

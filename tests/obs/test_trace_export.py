@@ -7,8 +7,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import chrome_trace_doc, events_jsonl
+from repro.obs import Tracer, chrome_trace_doc, events_jsonl
 from repro.scenario import ObservabilitySpec, get_scenario
+from repro.sim import Environment
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +73,8 @@ def _sha256(text: str) -> str:
 class TestOutputIdentityGolden:
     """The trace exports of a quick, fully traced ``multi_tenant_slo``
     run, pinned byte for byte.  The digests were recorded when the
-    tracer kept one ``(ts, cat, name, args)`` tuple per event; the
-    columnar store must reproduce every export exactly."""
+    tracer kept one ``(ts, cat, name, args)`` tuple per event; every
+    later store must reproduce every export exactly."""
 
     JSONL = "3c5d000e3734a99097d132a60fcaa28a15fff32e43b3a6c3af5740bd1105ccc7"
     CHROME = "f3eb50866d4aae2a7ed3afb07a73c9fb6eeb7b75675789730f4542485c9d4157"
@@ -145,6 +146,28 @@ class TestDroppedPathGolden:
     def test_export_digest(self, tracer):
         doc = tracer.export()
         assert _sha256(json.dumps(doc, sort_keys=True)) == self.EXPORT
+
+
+class TestDeadCategoryParent:
+    """A span of a disabled category handed over as ``parent=`` is
+    recorded as no parent, so both exporters still serialize."""
+
+    @pytest.fixture()
+    def tracer(self):
+        tracer = Tracer(Environment(), categories=("span",))
+        dead = tracer.span("k", cat="kernel")
+        tracer.span("task", parent=dead).finish()
+        return tracer
+
+    def test_parent_is_none(self, tracer):
+        assert tracer.spans[0].parent is None
+
+    def test_both_exporters_serialize(self, tracer):
+        doc = json.loads(json.dumps(chrome_trace_doc(tracer)))
+        (record,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert "parent" not in record["args"]
+        (line,) = events_jsonl(tracer)
+        assert "parent" not in json.loads(line)
 
 
 class TestChromeLaneMetadata:

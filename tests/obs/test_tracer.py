@@ -211,3 +211,177 @@ class TestColumnarEventStore:
         added = len(gc.get_objects()) - before
         assert len(tracer.events) == 20_000
         assert added < 100
+
+
+class TestLaneStore:
+    """Recorders and ``emit`` share one lane store; spans are handles."""
+
+    #: (advance to, cat, name, fields, values): a mixed stream crossing
+    #: the metrics sample interval and, with ``max_events=5``, the budget.
+    STREAM = [
+        (0.0, "kernel", "pop", ("t", "prio", "depth"), (0.0, 1, 3)),
+        (0.5, "network", "rpc", ("src", "dst"), ("a", "b")),
+        (1.0, "kernel", "pop", ("t", "prio", "depth"), (1.0, 0, 2)),
+        (1.0, "workload", "submit", (), ()),
+        (2.5, "kernel", "pop", ("t", "prio", "depth"), (2.5, 1, 1)),
+        (2.5, "network", "rpc", ("src", "dst"), ("b", "a")),
+        (3.0, "registry", "op", ("kind", "site"), ("read", "a")),
+        (4.5, "kernel", "pop", ("t", "prio", "depth"), (4.5, 1, 0)),
+    ]
+
+    def replay(self, positional):
+        env = make_env()
+        tracer = Tracer(env, max_events=5)
+        for until, cat, name, fields, values in self.STREAM:
+            if until > env.now:
+                env.run(until=until)
+            if positional:
+                tracer.recorder(cat, name, *fields)(*values)
+            else:
+                tracer.emit(cat, name, **dict(zip(fields, values)))
+        return tracer
+
+    def test_recorder_and_emit_store_the_same(self):
+        by_rec, by_emit = self.replay(True), self.replay(False)
+        assert list(by_rec.events) == list(by_emit.events)
+        assert len(by_rec.events) == 5
+        assert list(by_rec.counts.items()) == list(by_emit.counts.items())
+        assert list(by_rec.counts) == ["kernel", "network", "workload", "registry"]
+        assert by_rec._dropped == by_emit._dropped == {
+            "kernel": 1, "network": 1, "registry": 1,
+        }
+        instants = [t for t, _ in by_rec.metrics.series]
+        assert instants == [t for t, _ in by_emit.metrics.series]
+        assert instants == [0.0, 1.0, 2.5, 4.5]
+
+    def test_emit_and_recorder_interleave_in_one_lane(self):
+        tracer = Tracer(make_env())
+        pop = tracer.recorder("kernel", "pop", "t", "depth")
+        pop(0.0, 1)
+        tracer.emit("kernel", "pop", t=0.0, depth=2)
+        pop(0.0, 3)
+        assert [args["depth"] for _, _, _, args in tracer.events] == [1, 2, 3]
+        assert tracer.recorder("kernel", "pop", "t", "depth") is pop
+        assert len(tracer._lanes) == 1
+
+    def test_dead_category_recorder_is_a_no_op(self):
+        tracer = Tracer(make_env(), categories=("network",))
+        tracer.recorder("kernel", "pop", "t")(1.0)
+        assert tracer.counts == {}
+        assert len(tracer.events) == 0
+        assert NULL_TRACER.recorder("kernel", "pop", "t")(1.0) is None
+
+    def test_select_reads_one_category_in_emission_order(self):
+        tracer = self.replay(True)
+        assert list(tracer.select("kernel")) == [
+            row for row in tracer.events if row[1] == "kernel"
+        ]
+        assert [r[3] for r in tracer.select("network", "rpc")] == [
+            {"src": "a", "dst": "b"},
+        ]
+        assert list(tracer.select("elastic")) == []
+
+    def test_span_handle_past_the_budget(self, monkeypatch):
+        tracer = Tracer(make_env(), max_events=1)
+        kept = tracer.span("task")
+        lost = tracer.span("task")
+        assert (kept.id, lost.id) == (0, 1)
+        opened = []
+        span = tracer.span
+
+        def spy(name, **kwargs):
+            opened.append(kwargs.get("parent"))
+            return span(name, **kwargs)
+
+        monkeypatch.setattr(tracer, "span", spy)
+        child = lost.child("stage")
+        assert child.id == 2  # ids keep advancing past the budget
+        assert opened == [lost.id]  # ...and children name the lost parent
+        lost.finish(extra=1)  # a no-op
+        child.finish()
+        assert tracer._span_end == [None]
+        assert tracer._extras == {}
+        with pytest.raises(IndexError):
+            lost.end
+        kept.finish(extra=1)
+        assert tracer.spans[0].args == {"extra": 1}
+        assert tracer.dropped == 2
+
+    def test_span_records_rebuild_args_and_extras(self):
+        env = make_env()
+        tracer = Tracer(env)
+        root = tracer.span("rpc", src="a", dst="b")
+        bare = root.child("compute")
+        Timeout(env, 2.0)
+        env.run()
+        root.finish(request_s=1.0, src="c")  # update in place, then append
+        records = list(tracer.spans)
+        assert records[0] == (0, "rpc", "span", None, 0.0, 2.0,
+                              {"src": "c", "dst": "b", "request_s": 1.0})
+        assert records[1] == (1, "compute", "span", 0, 0.0, None, {})
+        assert records == tracer.spans[:] == [tracer.spans[0], tracer.spans[-1]]
+        assert bare.record() == records[1]
+        assert repr(root) == "<Span #0 'rpc' [0.0, 2.0]>"
+
+    def test_no_span_object_outlives_a_traced_run(self):
+        from repro.obs.trace import Span
+        from repro.scenario import ObservabilitySpec, get_scenario
+
+        spec = get_scenario("multi_tenant_8").replace(
+            observability=ObservabilitySpec(enabled=True)
+        )
+        result = spec.run(quick=True)
+        assert len(result.tracer.spans) > 0
+        gc.collect()
+        tracer = result.tracer
+        assert not [
+            o for o in gc.get_objects()
+            if isinstance(o, Span) and o._tracer is tracer
+        ]
+
+    def test_retained_kernel_row_costs_under_96_bytes(self):
+        """A kernel ``pop`` row holds three list slots, a ``ts`` slot
+        and a lane id (the fresh ``t`` float is 24 of the bytes); the
+        four-list store with a dict per row took about 244."""
+        import tracemalloc
+
+        tracer = Tracer(make_env())
+        pop = tracer.recorder("kernel", "pop", "t", "prio", "depth")
+        n = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n):
+                pop(float(i), 1, i % 200)
+            per_row = (tracemalloc.get_traced_memory()[0] - before) / n
+        finally:
+            tracemalloc.stop()
+        assert len(tracer.events) == n
+        assert per_row < 96, per_row
+
+
+def test_trace_cost_walk_covers_every_retained_row():
+    """``benchmarks/profile_kernel.py trace-cost`` reads the lane store's
+    internals; its per-category rows must match what was retained."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "profile_kernel.py"
+    spec = importlib.util.spec_from_file_location("profile_kernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    env = make_env()
+    tracer = Tracer(env, max_events=6)
+    root = tracer.span("task", vm="a-0")
+    root.child("stage").finish(metadata_s=0.5)
+    for i in range(3):
+        tracer.emit("kernel", "pop", t=float(i), depth=300 + i)
+    tracer.emit("scheduler", "place", scores={"a": 1.5})
+    tracer.emit("kernel", "pop", t=9.0, depth=1)  # past the budget
+    root.finish()
+    cost = module.trace_cost(tracer)
+    assert {c: rows for c, (rows, _) in cost.items()} == {
+        "span": 2, "kernel": 3, "scheduler": 1,
+    }
+    assert all(nbytes > 0 for _, nbytes in cost.values())
